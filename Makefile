@@ -1,14 +1,15 @@
 # Developer entry points. `make ci` is the full gate: build, vet, format
-# check, and the test suite under the race detector (the concurrent sweep
-# harness in internal/runner makes -race load-bearing). CI layers the
-# targets into lanes: the fast PR lane runs build+vet+fmt-check+short
-# tests, the full lane runs `make ci`, and separate lanes run lint
+# check, the benchmark module's self-test, the test suite under the race
+# detector (the concurrent sweep harness in internal/runner makes -race
+# load-bearing), and a short fuzz budget on the event order. CI layers the
+# targets into lanes: the fast PR lane runs build+vet+fmt-check+bench-check+
+# short tests, the full lane runs `make ci`, and separate lanes run lint
 # (staticcheck) and the benchmarks + chaos scenarios.
 
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build vet fmt-check tidy-check lint test test-short test-race bench bench-json bench-predict bench-http bench-sim bench-autoscale chaos trend workload examples ci
+.PHONY: all build vet fmt-check tidy-check lint test test-short test-race fuzz bench-check bench bench-json bench-predict bench-http bench-sim bench-autoscale chaos trend workload examples ci
 
 all: build
 
@@ -51,6 +52,19 @@ test-short:
 # per-package timeout under the race detector on small machines.
 test-race:
 	$(GO) test -race -timeout 45m ./...
+
+# FuzzEngineOrder drives sim.Engine and a sort-a-slice reference with the
+# same byte-string program and compares everything observable; a short
+# budget on every full-lane run keeps hunting past the committed corpus.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzEngineOrder -fuzztime 20s ./internal/sim
+
+# bench/ is a nested module: `go build ./... && go test ./...` never compile
+# it, so an internal signature change can leave tier-1 green and the
+# repository's benchmark unrunnable. This builds it and runs every workload
+# at 1/50 scale.
+bench-check:
+	cd bench && $(GO) test .
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
@@ -155,4 +169,4 @@ workload:
 examples:
 	$(GO) run ./examples/autoscale
 
-ci: build vet fmt-check test-race workload examples
+ci: build vet fmt-check bench-check test-race fuzz workload examples

@@ -1,6 +1,7 @@
 // Command abacus-simbench runs the simulation hot-path microbenchmarks —
-// event schedule/fire, event heap churn, overlapped kernel chains on a
-// device, and a full executor group cycle — via testing.Benchmark and
+// event schedule/fire, event heap churn, the reschedule cycle under a
+// parked arrival schedule, overlapped kernel chains on a device, and a full
+// executor group cycle — via testing.Benchmark and
 // writes the results as BENCH_sim.json. These paths run under every
 // serving decision, so the bench lane uploads the artifact next to
 // BENCH_http.json and abacus-trend gates it: allocs/op tightly (the hot
@@ -113,6 +114,46 @@ func hotPathBenchmarks() []namedBench {
 				eng.ScheduleArg(1, tick, nil)
 				eng.Step()
 			}
+		},
+	})
+
+	// The shape a pre-scheduling host produces: 8192 far-future arrivals
+	// parked while gpusim's launch-fires / cancel-completion / re-arm /
+	// completion-fires cycle runs in the near future — once with one
+	// ScheduleAt per arrival, once through ScheduleBatch, which holds one
+	// queue slot for all of them.
+	parked := make([]sim.Time, 8192)
+	for i := range parked {
+		parked[i] = 1e12 + sim.Time(i)
+	}
+	rescheduleCycle := func(b *testing.B, eng *sim.Engine) {
+		tick := func(any) {}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			completion := eng.ScheduleArg(2, tick, nil)
+			eng.ScheduleArg(1, tick, nil)
+			eng.Step()
+			eng.Cancel(completion)
+			eng.ScheduleArg(0.5, tick, nil)
+			eng.Step()
+		}
+	}
+	out = append(out, namedBench{
+		name: "BenchmarkEngineParked",
+		fn: func(b *testing.B) {
+			eng := sim.NewEngine()
+			for _, t := range parked {
+				eng.ScheduleArgAt(t, func(any) {}, nil)
+			}
+			rescheduleCycle(b, eng)
+		},
+	}, namedBench{
+		name: "BenchmarkEngineBatch",
+		fn: func(b *testing.B) {
+			eng := sim.NewEngine()
+			eng.ScheduleBatch(parked, func(int) {})
+			rescheduleCycle(b, eng)
 		},
 	})
 

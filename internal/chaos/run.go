@@ -486,10 +486,11 @@ func Run(sc Scenario) (*Report, error) {
 	}
 	if ctrl != nil {
 		interval := ctrl.Config().IntervalMS
+		var ticks []sim.Time
 		for t := interval; t <= sc.DurationMS; t += interval {
-			at := sim.Time(t)
-			h.eng.ScheduleAt(at, func() { h.scaleTick(at) })
+			ticks = append(ticks, t)
 		}
+		h.eng.ScheduleBatch(ticks, func(i int) { h.scaleTick(ticks[i]) })
 	}
 	var arrivals []trace.Arrival
 	switch {
@@ -504,12 +505,12 @@ func Run(sc Scenario) (*Report, error) {
 	default:
 		arrivals = trace.NewGenerator(sc.Models, sc.Seed).Poisson(sc.QPS, sc.DurationMS)
 	}
-	for i, a := range arrivals {
-		r := &request{idx: i, svc: a.Service, in: a.Input}
-		r.deadline = sim.Time(a.Time) + sim.Time(h.nodes[0].rt.Services()[a.Service].QoS)
-		at := sim.Time(a.Time)
-		h.eng.ScheduleAt(at, func() { h.attempt(r, at) })
-	}
+	services := h.nodes[0].rt.Services()
+	h.eng.ScheduleBatch(trace.Times(arrivals), func(i int) {
+		a := arrivals[i]
+		r := &request{idx: i, svc: a.Service, in: a.Input, deadline: a.Time + services[a.Service].QoS}
+		h.attempt(r, a.Time)
+	})
 	h.rep.Sent = int64(len(arrivals))
 	h.eng.Run()
 

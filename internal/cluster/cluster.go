@@ -204,24 +204,23 @@ func Run(cfg Config) Result {
 		panic(fmt.Sprintf("cluster: unknown policy %d", cfg.Policy))
 	}
 
-	var id int64
 	var lastArrival float64
 	offered := map[int]int{}
-	for _, a := range cfg.Arrivals {
-		a := a
+	routeAt := make([]sim.Time, len(cfg.Arrivals))
+	for i, a := range cfg.Arrivals {
 		if a.Service < 0 || a.Service >= len(services) {
 			panic("cluster: arrival service out of range")
 		}
-		svc := services[a.Service]
-		id++
-		q := &sched.Query{ID: id, Service: svc, Input: a.Input, Arrival: a.Time}
-		transfer := dnn.TransferTime(dnn.Get(svc.Model), a.Input, profile)
-		eng.ScheduleAt(a.Time+transfer, func() { route(q) })
+		routeAt[i] = a.Time + dnn.TransferTime(dnn.Get(services[a.Service].Model), a.Input, profile)
 		if a.Time > lastArrival {
 			lastArrival = a.Time
 		}
 		offered[int(a.Time/bucket)]++
 	}
+	eng.ScheduleBatch(routeAt, func(i int) {
+		a := cfg.Arrivals[i]
+		route(&sched.Query{ID: int64(i + 1), Service: services[a.Service], Input: a.Input, Arrival: a.Time})
+	})
 
 	drain := cfg.DrainMS
 	if drain <= 0 {

@@ -20,6 +20,9 @@ import (
 	"abacus/internal/gpusim"
 	"abacus/internal/predictor"
 	"abacus/internal/runner"
+	"abacus/internal/sched"
+	"abacus/internal/sim"
+	"abacus/internal/trace"
 )
 
 // Table is a printable experiment result.
@@ -91,6 +94,18 @@ func Quick() Options {
 
 // profile returns the device profile shared by every experiment.
 func profile() gpusim.Profile { return gpusim.A100Profile() }
+
+// transferredTimes returns when each arrival reaches its scheduler — its
+// submission time plus the input transfer (T_comms, Eq. 2) — and the latest
+// submission time.
+func transferredTimes(arrivals []trace.Arrival, services []*sched.Service, p gpusim.Profile) (times []sim.Time, last float64) {
+	times = make([]sim.Time, len(arrivals))
+	for i, a := range arrivals {
+		times[i] = a.Time + dnn.TransferTime(dnn.Get(services[a.Service].Model), a.Input, p)
+		last = max(last, a.Time)
+	}
+	return times, last
+}
 
 // ZooIDs returns all seven model ids.
 func ZooIDs() []dnn.ModelID {

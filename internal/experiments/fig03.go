@@ -72,13 +72,11 @@ func freeOverlapLatencies(p gpusim.Profile, co dnn.ModelID, coQPS, durationMS fl
 	submit()
 
 	if co >= 0 {
-		gen := trace.NewGenerator([]dnn.ModelID{co}, seed)
-		for _, a := range gen.Poisson(coQPS, durationMS) {
-			a := a
-			m := dnn.Get(co)
-			ks := dnn.Kernels(m, a.Input, p, 0, m.NumOps())
-			eng.ScheduleAt(a.Time, func() { dev.RunChain(ks, nil) })
-		}
+		m := dnn.Get(co)
+		arrivals := trace.NewGenerator([]dnn.ModelID{co}, seed).Poisson(coQPS, durationMS)
+		eng.ScheduleBatch(trace.Times(arrivals), func(i int) {
+			dev.RunChain(dnn.Kernels(m, arrivals[i].Input, p, 0, m.NumOps()), nil)
+		})
 	}
 	eng.RunUntil(durationMS + 500)
 	return lats

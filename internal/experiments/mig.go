@@ -170,20 +170,12 @@ func runMIG(opts Options, c migCase, policy serving.PolicyKind, qps float64, see
 
 	gen := trace.NewGenerator(models, seed)
 	arrivals := gen.Poisson(qps, opts.DurationMS)
-	var id int64
-	var last float64
-	for _, a := range arrivals {
-		a := a
-		svc := services[a.Service]
-		id++
-		q := &sched.Query{ID: id, Service: svc, Input: a.Input, Arrival: a.Time}
-		transfer := dnn.TransferTime(dnn.Get(svc.Model), a.Input, p)
-		target := schedulers[instanceOf[a.Service]]
-		eng.ScheduleAt(a.Time+transfer, func() { target.Enqueue(q) })
-		if a.Time > last {
-			last = a.Time
-		}
-	}
+	enqueueAt, last := transferredTimes(arrivals, services, p)
+	eng.ScheduleBatch(enqueueAt, func(i int) {
+		a := arrivals[i]
+		schedulers[instanceOf[a.Service]].Enqueue(
+			&sched.Query{ID: int64(i + 1), Service: services[a.Service], Input: a.Input, Arrival: a.Time})
+	})
 	var maxQoS float64
 	for _, s := range services {
 		if s.QoS > maxQoS {

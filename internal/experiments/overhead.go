@@ -87,15 +87,11 @@ func checkpointPeak(opts Options) float64 {
 	models := []dnn.ModelID{dnn.ResNet152, dnn.InceptionV3}
 	services := sched.Services(models, 2, p)
 	a := sched.NewAbacus(eng, exec, predictor.Oracle{Profile: p}, sched.DefaultConfig(), func(*sched.Query) {})
-	gen := trace.NewGenerator(models, opts.Seed)
-	var id int64
-	for _, arr := range gen.Poisson(60, 3000) {
-		arr := arr
-		svc := services[arr.Service]
-		id++
-		q := &sched.Query{ID: id, Service: svc, Input: arr.Input, Arrival: arr.Time}
-		eng.ScheduleAt(arr.Time, func() { a.Enqueue(q) })
-	}
+	arrivals := trace.NewGenerator(models, opts.Seed).Poisson(60, 3000)
+	eng.ScheduleBatch(trace.Times(arrivals), func(i int) {
+		arr := arrivals[i]
+		a.Enqueue(&sched.Query{ID: int64(i + 1), Service: services[arr.Service], Input: arr.Input, Arrival: arr.Time})
+	})
 	eng.RunUntil(4000)
 	return exec.PeakCheckpointedBytes()
 }

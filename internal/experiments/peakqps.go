@@ -112,19 +112,12 @@ func Segments(opts Options) []Table {
 				segs = append(segs, float64(q.Segments()))
 			}
 		})
-		gen := trace.NewGenerator(models, opts.Seed+int64(i))
-		var id int64
-		var last float64
-		for _, a := range gen.Poisson(50, opts.DurationMS) {
-			a := a
-			svc := services[a.Service]
-			id++
-			q := &sched.Query{ID: id, Service: svc, Input: a.Input, Arrival: a.Time}
-			eng.ScheduleAt(a.Time+dnn.TransferTime(dnn.Get(svc.Model), a.Input, p), func() { ctrl.Enqueue(q) })
-			if a.Time > last {
-				last = a.Time
-			}
-		}
+		arrivals := trace.NewGenerator(models, opts.Seed+int64(i)).Poisson(50, opts.DurationMS)
+		enqueueAt, last := transferredTimes(arrivals, services, p)
+		eng.ScheduleBatch(enqueueAt, func(j int) {
+			a := arrivals[j]
+			ctrl.Enqueue(&sched.Query{ID: int64(j + 1), Service: services[a.Service], Input: a.Input, Arrival: a.Time})
+		})
 		eng.RunUntil(last + 1000)
 
 		members, ops := ctrl.GroupStats()

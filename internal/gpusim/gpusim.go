@@ -633,22 +633,14 @@ func resizeFloats(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// maxMinShares allocates capacity to demands by progressive filling
+// maxMinSharesInto allocates capacity to demands by progressive filling
 // (water-filling): demands below the running fair share are fully granted;
-// the rest split the remainder equally. Zero demands receive zero. It is
-// the allocating convenience over maxMinSharesInto, used by tests.
-func maxMinShares(demands []float64, capacity float64) []float64 {
-	alloc := make([]float64, len(demands))
-	maxMinSharesInto(alloc, demands, capacity, nil)
-	return alloc
-}
-
-// maxMinSharesInto computes max-min shares into alloc (len(alloc) ==
-// len(demands)) using order as index scratch, and returns the (possibly
-// regrown) scratch for reuse. No allocation happens when the scratch has
-// capacity. The fill order is demand-ascending with index tiebreak, sorted
-// by an in-place insertion sort — deterministic and allocation-free (the
-// resident sets here are small).
+// the rest split the remainder equally. Zero demands receive zero. The
+// shares go into alloc (len(alloc) == len(demands)); order is index scratch,
+// returned (possibly regrown) for reuse. No allocation happens when the
+// scratch has capacity. The fill order is demand-ascending with index
+// tiebreak, sorted by an in-place insertion sort — deterministic and
+// allocation-free (the resident sets here are small).
 func maxMinSharesInto(alloc, demands []float64, capacity float64, order []int) []int {
 	order = order[:0]
 	var total float64

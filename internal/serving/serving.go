@@ -194,27 +194,26 @@ func Run(cfg RunConfig) Result {
 
 	// Schedule arrivals: the query is submitted at Arrival.Time; its input
 	// transfer (T_comms, Eq. 2) delays when the scheduler sees it.
-	var id int64
 	var lastArrival float64
-	for _, a := range cfg.Arrivals {
-		a := a
+	enqueueAt := make([]sim.Time, len(cfg.Arrivals))
+	for i, a := range cfg.Arrivals {
 		if a.Service < 0 || a.Service >= len(services) {
 			panic(fmt.Sprintf("serving: arrival service %d out of range", a.Service))
 		}
-		svc := services[a.Service]
-		id++
-		q := &sched.Query{
-			ID:      id,
-			Service: svc,
-			Input:   a.Input,
-			Arrival: a.Time,
-		}
-		transfer := dnn.TransferTime(dnn.Get(svc.Model), a.Input, profile)
-		eng.ScheduleAt(a.Time+transfer, func() { scheduler.Enqueue(q) })
+		enqueueAt[i] = a.Time + dnn.TransferTime(dnn.Get(services[a.Service].Model), a.Input, profile)
 		if a.Time > lastArrival {
 			lastArrival = a.Time
 		}
 	}
+	eng.ScheduleBatch(enqueueAt, func(i int) {
+		a := cfg.Arrivals[i]
+		scheduler.Enqueue(&sched.Query{
+			ID:      int64(i + 1),
+			Service: services[a.Service],
+			Input:   a.Input,
+			Arrival: a.Time,
+		})
+	})
 
 	drain := cfg.DrainMS
 	if drain <= 0 {

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"abacus/internal/dnn"
+	"abacus/internal/gpusim"
 	"abacus/internal/sched"
+	"abacus/internal/sim"
 	"abacus/internal/stats"
 	"abacus/internal/trace"
 )
@@ -31,6 +33,30 @@ func TestRunEmitsEveryQuery(t *testing.T) {
 		if len(res.Records) != len(arrivals) {
 			t.Errorf("%v: emitted %d records for %d arrivals", policy, len(res.Records), len(arrivals))
 		}
+	}
+}
+
+// The arrival schedule rides in one queue slot (sim.Engine.ScheduleBatch),
+// so the engine's event pool is sized by what is in flight at once, not by
+// how many arrivals the run was handed up front.
+func TestRunEventPoolIndependentOfArrivals(t *testing.T) {
+	models := []dnn.ModelID{dnn.ResNet50, dnn.InceptionV3}
+	arrivals := trace.NewGenerator(models, 3).Poisson(40, 250_000)
+	if len(arrivals) < 9_000 {
+		t.Fatalf("only %d arrivals generated", len(arrivals))
+	}
+	eng := sim.NewEngine()
+	res := Run(RunConfig{
+		Policy:   PolicyAbacus,
+		Models:   models,
+		Arrivals: arrivals,
+		Device:   gpusim.New(eng, gpusim.A100Profile()),
+	})
+	if len(res.Records) != len(arrivals) {
+		t.Fatalf("emitted %d records for %d arrivals", len(res.Records), len(arrivals))
+	}
+	if got := eng.AllocatedEvents(); got > 32 {
+		t.Errorf("engine allocated %d events for %d arrivals, want a small constant", got, len(arrivals))
 	}
 }
 

@@ -10,11 +10,17 @@
 // can never cancel the recycled event's next incarnation. Pool state is
 // invisible to the virtual clock: a warm engine and a cold engine replay
 // identical workloads identically.
+//
+// The pending queue is a 4-ary min-heap whose slots carry the ordering key
+// (time, sequence number) inline, so sifting compares and moves plain values
+// and touches an Event only to record its new position. That total order is
+// the engine's only ordering contract.
 package sim
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
+	"slices"
 )
 
 // Time is a point on (or a span of) the virtual clock, in milliseconds.
@@ -24,8 +30,6 @@ type Time = float64
 // Schedule returns a generation-counted Handle instead, so recycled events
 // cannot be canceled through stale references.
 type Event struct {
-	at    Time
-	seq   uint64
 	index int    // heap index; -1 once popped or canceled
 	gen   uint64 // bumped on every recycle; stale handles fail the check
 	fn    func(any)
@@ -51,34 +55,83 @@ func (h Handle) Active() bool {
 	return h.ev != nil && h.ev.gen == h.gen && h.ev.index >= 0
 }
 
-// eventHeap orders events by (time, insertion sequence).
-type eventHeap []*Event
+// arity is the heap's fan-out. Four children per node halve the depth of a
+// binary heap and keep one node's children in 96 contiguous bytes; 2 and 8
+// both measured slower on BenchmarkEngineParked.
+const arity = 4
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// slot is one heap entry. The key lives in the slot, not behind ev, so the
+// comparisons of a sift never dereference an event.
+type slot struct {
+	at  Time
+	seq uint64
+	ev  *Event
+}
+
+// before reports whether a fires before b: earlier time first, scheduling
+// order within one instant.
+func (a *slot) before(b *slot) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// up places s at or above position i, shifting later ancestors down.
+func (e *Engine) up(i int, s slot) {
+	h := e.pending
+	for i > 0 {
+		p := (i - 1) / arity
+		if !s.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].ev.index = i
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	h[i] = s
+	s.ev.index = i
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// down places s at or below position i, shifting earlier children up.
+func (e *Engine) down(i int, s slot) {
+	h := e.pending
+	for {
+		c := i*arity + 1
+		if c >= len(h) {
+			break
+		}
+		m := c
+		for j, end := c+1, min(c+arity, len(h)); j < end; j++ {
+			if h[j].before(&h[m]) {
+				m = j
+			}
+		}
+		if !h[m].before(&s) {
+			break
+		}
+		h[i] = h[m]
+		h[i].ev.index = i
+		i = m
+	}
+	h[i] = s
+	s.ev.index = i
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+
+// remove takes the entry at position i out of the queue and returns it.
+func (e *Engine) remove(i int) slot {
+	h := e.pending
+	out := h[i]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = slot{}
+	e.pending = h[:n]
+	if i < n {
+		if i > 0 && last.before(&h[(i-1)/arity]) {
+			e.up(i, last)
+		} else {
+			e.down(i, last)
+		}
+	}
+	out.ev.index = -1
+	return out
 }
 
 // Engine is a single-threaded discrete-event simulator. The zero value is
@@ -86,7 +139,8 @@ func (h *eventHeap) Pop() any {
 type Engine struct {
 	now     Time
 	seq     uint64
-	pending eventHeap
+	pending []slot // 4-ary min-heap on (at, seq)
+	parked  int    // ScheduleBatch members not yet in pending
 	free    *Event // intrusive free list of recycled events
 	freeLen int
 	alloced int // total Event objects ever allocated (diagnostics)
@@ -102,7 +156,7 @@ func NewEngine() *Engine {
 func (e *Engine) Now() Time { return e.now }
 
 // Pending reports the number of scheduled, not-yet-fired events.
-func (e *Engine) Pending() int { return len(e.pending) }
+func (e *Engine) Pending() int { return len(e.pending) + e.parked }
 
 // FreeEvents reports the number of recycled events waiting in the pool.
 func (e *Engine) FreeEvents() int { return e.freeLen }
@@ -174,7 +228,7 @@ func (e *Engine) Schedule(delay Time, fn func()) Handle {
 }
 
 // ScheduleAt registers fn to run at absolute virtual time t. It panics if t
-// is before the current time.
+// is before the current time or NaN.
 func (e *Engine) ScheduleAt(t Time, fn func()) Handle {
 	if fn == nil {
 		panic("sim: nil event callback")
@@ -194,22 +248,109 @@ func (e *Engine) ScheduleArg(delay Time, fn func(any), arg any) Handle {
 }
 
 // ScheduleArgAt registers fn(arg) to run at absolute virtual time t. It
-// panics if t is before the current time or fn is nil.
+// panics if t is before the current time or NaN, or fn is nil.
 func (e *Engine) ScheduleArgAt(t Time, fn func(any), arg any) Handle {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
-	}
+	e.checkTime(t)
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
+	ev := e.enqueue(t, e.seq, fn, arg)
+	e.seq++
+	return Handle{ev: ev, gen: ev.gen, at: t}
+}
+
+// checkTime panics unless t is a time the queue can order: not before now,
+// and not NaN, which compares false with everything and would corrupt the
+// heap silently. +Inf is legal.
+func (e *Engine) checkTime(t Time) {
+	if !(t >= e.now) {
+		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
+	}
+}
+
+// enqueue puts a pooled event carrying fn(arg) into the queue under (t, seq).
+func (e *Engine) enqueue(t Time, seq uint64, fn func(any), arg any) *Event {
 	ev := e.acquire()
-	ev.at = t
-	ev.seq = e.seq
 	ev.fn = fn
 	ev.arg = arg
-	e.seq++
-	heap.Push(&e.pending, ev)
-	return Handle{ev: ev, gen: ev.gen, at: t}
+	e.pending = append(e.pending, slot{})
+	e.up(len(e.pending)-1, slot{t, seq, ev})
+	return ev
+}
+
+// batch is the state of one ScheduleBatch call: the members' times, their
+// firing order, and how far along it the engine is.
+type batch struct {
+	eng   *Engine
+	times []Time
+	order []int // member indices by (time, index); nil when times ascends
+	seq   uint64
+	next  int // position in the firing order of the member now in the queue
+	fn    func(i int)
+}
+
+// ScheduleBatch registers fn(i) to run at times[i] for every i. It is exactly
+// equivalent — same firing order against every other event, bit for bit — to
+// calling ScheduleAt(times[i], func() { fn(i) }) for i in index order, but
+// keeps one queue slot for the whole batch instead of len(times): only the
+// earliest unfired member is queued, and firing it queues the next before
+// fn runs. A host that knows its arrivals up front therefore does not make
+// every other event sift through them.
+//
+// The caller must leave times unmodified until the last member has fired,
+// and members cannot be canceled. It panics like ScheduleAt on a time before
+// now, a NaN time, or a nil fn.
+func (e *Engine) ScheduleBatch(times []Time, fn func(i int)) {
+	if fn == nil {
+		panic("sim: nil event callback")
+	}
+	sorted := true
+	for i, t := range times {
+		e.checkTime(t)
+		sorted = sorted && (i == 0 || times[i-1] <= t)
+	}
+	if len(times) == 0 {
+		return
+	}
+	b := &batch{eng: e, times: times, seq: e.seq, fn: fn}
+	if !sorted {
+		b.order = make([]int, len(times))
+		for i := range b.order {
+			b.order[i] = i
+		}
+		slices.SortFunc(b.order, func(i, j int) int {
+			return cmp.Or(cmp.Compare(times[i], times[j]), i-j)
+		})
+	}
+	e.seq += uint64(len(times))
+	e.parked += len(times)
+	b.arm()
+}
+
+// member returns the index of the k-th member in firing order.
+func (b *batch) member(k int) int {
+	if b.order == nil {
+		return k
+	}
+	return b.order[k]
+}
+
+// arm queues the batch's next member under the key it would have had if
+// scheduled on its own.
+func (b *batch) arm() {
+	i := b.member(b.next)
+	b.eng.parked--
+	b.eng.enqueue(b.times[i], b.seq+uint64(i), fireBatch, b)
+}
+
+func fireBatch(a any) {
+	b := a.(*batch)
+	i := b.member(b.next)
+	b.next++
+	if b.next < len(b.times) {
+		b.arm()
+	}
+	b.fn(i)
 }
 
 // Cancel removes a scheduled event. Canceling an event that already fired,
@@ -220,7 +361,7 @@ func (e *Engine) Cancel(h Handle) bool {
 	if ev == nil || ev.gen != h.gen || ev.index < 0 {
 		return false
 	}
-	heap.Remove(&e.pending, ev.index)
+	e.remove(ev.index)
 	e.recycle(ev)
 	return true
 }
@@ -233,10 +374,10 @@ func (e *Engine) Step() bool {
 	if len(e.pending) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.pending).(*Event)
-	e.now = ev.at
-	fn, arg := ev.fn, ev.arg
-	e.recycle(ev)
+	s := e.remove(0)
+	e.now = s.at
+	fn, arg := s.ev.fn, s.ev.arg
+	e.recycle(s.ev)
 	fn(arg)
 	return true
 }

@@ -18,6 +18,16 @@ type Arrival struct {
 	Input   dnn.Input
 }
 
+// Times returns the arrivals' timestamps, index for index: the schedule a
+// virtual-time host hands to sim.Engine.ScheduleBatch.
+func Times(arrivals []Arrival) []float64 {
+	times := make([]float64, len(arrivals))
+	for i, a := range arrivals {
+		times[i] = a.Time
+	}
+	return times
+}
+
 // Generator draws arrivals for a set of co-located services.
 type Generator struct {
 	rng    *rand.Rand
