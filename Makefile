@@ -9,7 +9,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build vet fmt-check tidy-check lint test test-short test-race fuzz bench-check bench bench-json bench-predict bench-http bench-sim bench-autoscale chaos trend workload examples ci
+.PHONY: all build vet fmt-check tidy-check lint test test-short test-race fuzz bench-check bench chaos workload examples ci
 
 all: build
 
@@ -66,81 +66,11 @@ fuzz:
 bench-check:
 	cd bench && $(GO) test .
 
+# Root-package micro-benchmarks; per-layer ones live beside their packages
+# (`go test -bench . ./internal/...`). The repository's end-to-end benchmark
+# is `bash bench/run.sh`, declared by BENCHMARK.json (see bench/README.md).
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
-
-# Chaos scenarios double as the gateway benchmark: deterministic QoS
-# counters plus a wall-clock figure, uploaded from CI as an artifact.
-bench-json:
-	$(GO) run ./cmd/abacus-chaos -bench -json -o BENCH_gateway.json
-
-# Prediction hot-path benchmarks (batched MLP forward, span search,
-# gateway round) as a machine-readable artifact; allocs/op is deterministic
-# and trend-gated tightly, ns/op generously.
-bench-predict:
-	$(GO) run ./cmd/abacus-predictbench -o BENCH_predict.json
-
-# HTTP ingest saturation benchmark: closed-loop ramp against an in-process
-# gateway; the artifact records peak sustained QPS at the goodput floor,
-# latency at peak, allocs/request, and the wire-codec component benchmarks.
-bench-http:
-	$(GO) run ./cmd/abacus-httpbench -o BENCH_http.json
-
-# Simulation hot-path benchmarks: event schedule/fire, heap churn,
-# overlapped kernel chains, and a full executor group cycle. Allocation-free
-# in steady state by construction (PR 10); the trend gate holds allocs/op
-# tightly so the floor cannot quietly erode.
-bench-sim:
-	$(GO) run ./cmd/abacus-simbench -o BENCH_sim.json
-
-# Elastic-autoscaler benchmark: the diurnal-autoscale scenario distilled
-# into the trend artifact abacus-trend gates on — goodput held to an
-# absolute 0.98 floor, node-milliseconds (the cost the scaler exists to
-# save) gated against growth.
-bench-autoscale:
-	$(GO) run ./cmd/abacus-chaos -bench -scenario diurnal-autoscale -autoscale-out BENCH_autoscale.json > /dev/null
-
-# Bench-trend check: rebuild both benchmark artifacts at TREND_BASE
-# (default origin/main) in a throwaway worktree, then diff against the
-# working tree's artifacts. Fails on a dropped scenario or benchmark, a
-# goodput drop, p99 growth, a per-service shed spike or admitted drop, or
-# hot-path allocs/op growth beyond the abacus-trend tolerances. The predict
-# and http gates only engage when the base ref has the matching bench
-# command (so they are skipped against pre-artifact history).
-TREND_BASE ?= origin/main
-
-trend: bench-json bench-predict bench-http bench-sim bench-autoscale
-	@set -e; \
-	tmp=$$(mktemp -d); \
-	trap 'git worktree remove --force "$$tmp" 2>/dev/null || rm -rf "$$tmp"' EXIT; \
-	git worktree add --detach "$$tmp" $(TREND_BASE) >/dev/null; \
-	(cd "$$tmp" && $(GO) run ./cmd/abacus-chaos -o BENCH_base.json >/dev/null); \
-	mv "$$tmp/BENCH_base.json" BENCH_base.json; \
-	predict_flags=""; \
-	if [ -d "$$tmp/cmd/abacus-predictbench" ]; then \
-		(cd "$$tmp" && $(GO) run ./cmd/abacus-predictbench -o PREDICT_base.json >/dev/null); \
-		mv "$$tmp/PREDICT_base.json" PREDICT_base.json; \
-		predict_flags="-predict-base PREDICT_base.json -predict-head BENCH_predict.json"; \
-	fi; \
-	http_flags=""; \
-	if [ -d "$$tmp/cmd/abacus-httpbench" ]; then \
-		(cd "$$tmp" && $(GO) run ./cmd/abacus-httpbench -o HTTP_base.json >/dev/null); \
-		mv "$$tmp/HTTP_base.json" HTTP_base.json; \
-		http_flags="-http-base HTTP_base.json -http-head BENCH_http.json -max-http-allocs 300"; \
-	fi; \
-	sim_flags=""; \
-	if [ -d "$$tmp/cmd/abacus-simbench" ]; then \
-		(cd "$$tmp" && $(GO) run ./cmd/abacus-simbench -o SIM_base.json >/dev/null); \
-		mv "$$tmp/SIM_base.json" SIM_base.json; \
-		sim_flags="-sim-base SIM_base.json -sim-head BENCH_sim.json"; \
-	fi; \
-	autoscale_flags=""; \
-	if grep -qs autoscale-out "$$tmp/cmd/abacus-chaos/main.go"; then \
-		(cd "$$tmp" && $(GO) run ./cmd/abacus-chaos -scenario diurnal-autoscale -autoscale-out AUTOSCALE_base.json >/dev/null); \
-		mv "$$tmp/AUTOSCALE_base.json" AUTOSCALE_base.json; \
-		autoscale_flags="-autoscale-base AUTOSCALE_base.json -autoscale-head BENCH_autoscale.json"; \
-	fi; \
-	$(GO) run ./cmd/abacus-trend -base BENCH_base.json -head BENCH_gateway.json $$predict_flags $$http_flags $$sim_flags $$autoscale_flags
 
 # Run the built-in fault suite and hold the recovery scenarios to their QoS
 # floor (the throttle50 baseline intentionally fails it, so the floor is

@@ -9,7 +9,7 @@
 //	abacus-chaos -scenario throttle50-degraded -assert-goodput 0.99
 //	abacus-chaos -script faults.csv -models Res152,IncepV3 -qps 40
 //	abacus-chaos -workload examples/workloads/flash-crowd.json -assert-goodput 0.97
-//	abacus-chaos -bench -o BENCH_gateway.json # CI benchmark artifact
+//	abacus-chaos -o report.json              # also write the -json array to a file
 package main
 
 import (
@@ -19,7 +19,6 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"time"
 
 	"abacus/internal/admit"
 	"abacus/internal/chaos"
@@ -53,8 +52,6 @@ func main() {
 	assertGoodput := flag.Float64("assert-goodput", 0, "exit 1 unless every report's goodput meets this floor")
 	jsonOut := flag.Bool("json", false, "emit reports as JSON instead of text")
 	outFile := flag.String("o", "", "also write the JSON report array to this file")
-	autoscaleOut := flag.String("autoscale-out", "", "write an autoscale trend artifact (per-scenario goodput and node-hours) for every elastic report to this file")
-	bench := flag.Bool("bench", false, "benchmark mode: runs the suite and includes wall_seconds in -o output")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *version {
@@ -83,17 +80,20 @@ func main() {
 		fail(err)
 	}
 
-	wallStart := time.Now()
 	reports, err := chaos.RunAll(scenarios, *parallel)
 	if err != nil {
 		fail(err)
 	}
-	wallSeconds := time.Since(wallStart).Seconds()
 
+	var reportJSON []byte
+	if *jsonOut || *outFile != "" {
+		if reportJSON, err = json.MarshalIndent(reports, "", "  "); err != nil {
+			fail(err)
+		}
+		reportJSON = append(reportJSON, '\n')
+	}
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(reports); err != nil {
+		if _, err := os.Stdout.Write(reportJSON); err != nil {
 			fail(err)
 		}
 	} else {
@@ -101,14 +101,8 @@ func main() {
 			fmt.Print(rep.Text())
 		}
 	}
-
 	if *outFile != "" {
-		if err := writeArtifact(*outFile, reports, *bench, wallSeconds); err != nil {
-			fail(err)
-		}
-	}
-	if *autoscaleOut != "" {
-		if err := writeAutoscaleArtifact(*autoscaleOut, reports, *bench, wallSeconds); err != nil {
+		if err := os.WriteFile(*outFile, reportJSON, 0o644); err != nil {
 			fail(err)
 		}
 	}
@@ -189,40 +183,4 @@ func selectScenarios(name, scriptFile, workloadFile, modelsFlag string, nodes in
 		return []chaos.Scenario{sc}, nil
 	}
 	return chaos.Scenarios(), nil
-}
-
-func writeArtifact(path string, reports []*chaos.Report, bench bool, wallSeconds float64) error {
-	art := chaos.Artifact{Reports: reports}
-	if bench {
-		art.WallSeconds = wallSeconds
-	}
-	data, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// writeAutoscaleArtifact distills every elastic report into the compact
-// trend artifact that abacus-trend gates on (goodput floor, node-hours
-// regression). Errors out when no report ran the autoscaler, so a
-// misconfigured CI lane fails loudly instead of gating on nothing.
-func writeAutoscaleArtifact(path string, reports []*chaos.Report, bench bool, wallSeconds float64) error {
-	art := chaos.AutoscaleArtifact{}
-	if bench {
-		art.WallSeconds = wallSeconds
-	}
-	for _, rep := range reports {
-		if sum, ok := chaos.AutoscaleSummaryOf(rep); ok {
-			art.Scenarios = append(art.Scenarios, sum)
-		}
-	}
-	if len(art.Scenarios) == 0 {
-		return fmt.Errorf("no elastic scenarios ran; nothing to write to %s", path)
-	}
-	data, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -196,7 +196,7 @@ type AutoscaleReport struct {
 
 	// NodeMS is accumulated node-time; StaticPeakNodeMS is what a fixed
 	// fleet of PeakNodes would have burned over the same span. SavedFrac is
-	// the node-hours-saved figure the trend gate holds.
+	// the node-hours-saved figure TestAutoscaleDiurnalAcceptance holds.
 	NodeMS           float64 `json:"node_ms"`
 	StaticPeakNodeMS float64 `json:"static_peak_node_ms"`
 	SavedFrac        float64 `json:"node_ms_saved_frac"`

@@ -128,7 +128,7 @@ func Scenarios() []Scenario {
 			// them in the trough after warm-up, hysteresis, and cooldown.
 			// CI asserts goodput ≥ 0.98 through the peak AND ≥ 25%
 			// node-hours saved vs static peak provisioning (see
-			// TestDiurnalAutoscale and the trend gate).
+			// TestAutoscaleDiurnalAcceptance).
 			Name: "diurnal-autoscale", Seed: 53,
 			Degrade: clusterDegrade,
 			MAF: &trace.MAFConfig{

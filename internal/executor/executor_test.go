@@ -278,3 +278,21 @@ func TestExecuteSteadyStateAllocs(t *testing.T) {
 		t.Errorf("steady-state group execution allocated %v times per run, want <= 2", allocs)
 	}
 }
+
+// BenchmarkExecutorGroup is one full group cycle on the hot pair: spec
+// materialization from the cost model, two overlapped spans, synchronization.
+func BenchmarkExecutorGroup(b *testing.B) {
+	eng := sim.NewEngine()
+	exec := New(gpusim.New(eng, gpusim.A100Profile()), 0.05)
+	g := predictor.Group{
+		{Model: dnn.ResNet152, OpStart: 0, OpEnd: 40, Batch: 8},
+		{Model: dnn.InceptionV3, OpStart: 0, OpEnd: 30, Batch: 8},
+	}
+	done := func() {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		exec.Execute(g, done)
+		eng.Run()
+	}
+}

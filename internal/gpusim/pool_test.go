@@ -219,3 +219,27 @@ func TestLaunchStallPoolsStallRecords(t *testing.T) {
 		t.Errorf("stalled launch cycle allocated %v times per run, want 0", allocs)
 	}
 }
+
+// BenchmarkDeviceOverlap drains two kernel chains contending on one device:
+// launch, max-min re-rating, completion, and pooled recycling.
+func BenchmarkDeviceOverlap(b *testing.B) {
+	eng := sim.NewEngine()
+	dev := New(eng, A100Profile())
+	chainA := []KernelSpec{
+		{Name: "a0", Work: 1.0, SMFrac: 0.8, MemFrac: 0.5},
+		{Name: "a1", Work: 0.5, SMFrac: 0.5, MemFrac: 0.2},
+		{Name: "a2", Work: 0.8, SMFrac: 0.9, MemFrac: 0.7},
+	}
+	chainB := []KernelSpec{
+		{Name: "b0", Work: 0.7, SMFrac: 0.9, MemFrac: 0.8},
+		{Name: "b1", Work: 1.2, SMFrac: 0.4, MemFrac: 0.3},
+	}
+	done := func(any) {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dev.RunChainArg(chainA, done, nil)
+		dev.RunChainArg(chainB, done, nil)
+		eng.Run()
+	}
+}

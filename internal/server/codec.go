@@ -5,7 +5,7 @@
 // request buffer instead of materialized strings, and the encoder appends
 // into a pooled scratch slice — so the gateway's ingest path costs zero
 // allocs/op once the scratch pools are warm (asserted by
-// TestInferHotPathZeroAllocs and trend-gated via BENCH_http.json).
+// TestInferHotPathZeroAllocs).
 package server
 
 import (

@@ -2,7 +2,7 @@
 // must accept and reject the same bodies with the same resulting fields, the
 // encoder must produce byte-identical output, and the combined decode →
 // validate → decide → encode path must not allocate — the property the
-// ingest hot path's throughput rests on (trend-gated via BENCH_http.json).
+// ingest hot path's throughput rests on.
 package server
 
 import (
@@ -138,7 +138,8 @@ func TestAppendInferResponseMatchesEncodingJSON(t *testing.T) {
 
 // TestInferHotPathZeroAllocs asserts the steady-state ingest path — decode,
 // validate, admission verdict, encode — costs zero allocations per request
-// once the scratch is warm. This is the property BENCH_http.json trend-gates.
+// once the scratch is warm. TestHandlerAllocsCeiling bounds the full
+// handler round trip around it.
 func TestInferHotPathZeroAllocs(t *testing.T) {
 	s, err := New(Config{Models: []dnn.ModelID{dnn.ResNet50, dnn.Bert}, Speedup: realtime.Unpaced})
 	if err != nil {

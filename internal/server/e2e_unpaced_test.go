@@ -1,7 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"abacus/internal/dnn"
@@ -82,4 +85,58 @@ func TestEndToEndUnpaced(t *testing.T) {
 	if err := ValidateExposition(body); err != nil {
 		t.Errorf("metrics exposition invalid: %v", err)
 	}
+}
+
+// reuseWriter is an http.ResponseWriter whose header map and body buffer
+// survive across requests, so the driver adds nothing to the per-request
+// allocation count it measures.
+type reuseWriter struct {
+	h    http.Header
+	code int
+	buf  []byte
+}
+
+func (w *reuseWriter) Header() http.Header { return w.h }
+
+func (w *reuseWriter) WriteHeader(code int) { w.code = code }
+
+func (w *reuseWriter) Write(p []byte) (int, error) {
+	w.buf = append(w.buf, p...)
+	return len(p), nil
+}
+
+// TestHandlerAllocsCeiling holds one full in-process request on an unpaced
+// gateway — decode → route → mailbox → admit → simulate → encode through
+// Handler().ServeHTTP — to at most 300 allocations. The handler's own
+// scratch is allocation-free (TestInferHotPathZeroAllocs); the ceiling
+// catches growth in everything around it.
+func TestHandlerAllocsCeiling(t *testing.T) {
+	const ceiling = 300
+	s, err := New(Config{Models: []dnn.ModelID{dnn.ResNet50, dnn.InceptionV3}, Speedup: realtime.Unpaced})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	defer s.Drain()
+	h := s.Handler()
+	payload := []byte(`{"model":"Res50","batch":4}`)
+	body := bytes.NewReader(payload)
+	req := httptest.NewRequest(http.MethodPost, "/v1/infer", body)
+	w := &reuseWriter{h: make(http.Header, 4)}
+	serve := func() {
+		body.Reset(payload)
+		w.code, w.buf = http.StatusOK, w.buf[:0]
+		h.ServeHTTP(w, req)
+	}
+	for i := 0; i < 300; i++ {
+		serve() // warm the pools, the predictor memo and the admission caches
+	}
+	allocs := testing.AllocsPerRun(1000, serve)
+	if w.code != http.StatusOK || !bytes.Contains(w.buf, []byte(`"accepted":true`)) {
+		t.Fatalf("probe request not served: HTTP %d %s", w.code, w.buf)
+	}
+	if allocs > ceiling {
+		t.Fatalf("handler round trip allocates %.1f/request; ceiling %d", allocs, ceiling)
+	}
+	t.Logf("%.1f allocs/request", allocs)
 }
