@@ -186,8 +186,9 @@ func Run(cfg Config) Result {
 			}
 			schedulers[i] = sched.NewAbacus(eng, exec, model, schedCfg, sinkFor(i))
 		}
-		// Kubernetes-style routing: least outstanding work, ties by index —
-		// the same LeastLoaded policy the online gateway's router reuses.
+		// Kubernetes-style routing: least outstanding work, ties by index.
+		// Every GPU runs on one engine, so the online gateway's clock
+		// tie-break would reduce to this index order.
 		route = func(q *sched.Query) {
 			best := LeastLoaded(all, func(i int) float64 {
 				return float64(schedulers[i].QueueLen())

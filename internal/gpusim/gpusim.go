@@ -398,6 +398,13 @@ func fireStalledLaunch(a any) {
 }
 
 func (d *Device) launchNow(spec KernelSpec, fn func(any), arg any) {
+	d.admit(spec, fn, arg)
+	d.reschedule()
+}
+
+// admit makes spec resident from now on, without re-rating: fn(arg) runs
+// when it completes.
+func (d *Device) admit(spec KernelSpec, fn func(any), arg any) *kernel {
 	d.advance()
 	w := spec.Work
 	if d.noise != nil {
@@ -412,7 +419,7 @@ func (d *Device) launchNow(spec KernelSpec, fn func(any), arg any) {
 	k.doneArg = arg
 	d.running = append(d.running, k) // ascending seq: launched is monotonic
 	d.launched++
-	d.reschedule()
+	return k
 }
 
 // RunChain executes specs as a dependent chain: each kernel launches
@@ -447,26 +454,79 @@ func (d *Device) RunChainArg(specs []KernelSpec, fn func(any), arg any) {
 }
 
 // advanceChainLaunch fires after a launch gap: it launches the chain's
-// current kernel with the cursor itself as the completion callback.
+// current kernel with the cursor itself as the completion callback. A chain
+// that finds the device idle runs in place instead (runOwned).
 func advanceChainLaunch(a any) {
 	c := a.(*chain)
-	c.dev.launchArg(c.specs[c.i], advanceChainStep, c)
+	d := c.dev
+	if len(d.running) == 0 && d.launchStall == 0 && d.tracer == nil {
+		c.runOwned()
+		return
+	}
+	d.launchArg(c.specs[c.i], advanceChainStep, c)
 }
 
 // advanceChainStep fires when a chain kernel completes: it either schedules
 // the next launch gap or retires the cursor and runs the chain's callback.
 func advanceChainStep(a any) {
 	c := a.(*chain)
-	c.i++
-	if c.i == len(c.specs) {
-		d, fn, arg := c.dev, c.doneFn, c.doneArg
-		d.putChain(c)
-		if fn != nil {
-			fn(arg)
-		}
-		return
+	if c.next() {
+		c.dev.eng.ScheduleArg(c.dev.profile.LaunchGap, advanceChainLaunch, c)
 	}
-	c.dev.eng.ScheduleArg(c.dev.profile.LaunchGap, advanceChainLaunch, c)
+}
+
+// next moves the cursor past a completed kernel. At the end of the chain it
+// retires the cursor, runs the chain's callback and reports false.
+func (c *chain) next() bool {
+	c.i++
+	if c.i < len(c.specs) {
+		return true
+	}
+	d, fn, arg := c.dev, c.doneFn, c.doneArg
+	d.putChain(c)
+	if fn != nil {
+		fn(arg)
+	}
+	return false
+}
+
+// runOwned is the queue-free form of the launch → complete → launch-gap
+// cycle, for a chain launching onto an idle device with no stall or tracer
+// in force. Each step does exactly what the event it replaces would have
+// done, in the same float operations; the event itself is skipped whenever
+// sim.Engine.AdvanceTo proves it would fire next, and queued as usual the
+// first time anything else is due before it. runOwned runs in an event
+// callback and does nothing after its last AdvanceTo but that event's work,
+// which is what AdvanceTo requires.
+func (c *chain) runOwned() {
+	d, eng := c.dev, c.dev.eng
+	for {
+		spec := c.specs[c.i]
+		if err := spec.Validate(); err != nil {
+			panic(err)
+		}
+		k := d.admit(spec, advanceChainStep, c)
+		eta := d.rerate()
+		if !eng.AdvanceTo(eng.Now() + eta) {
+			d.completion = eng.ScheduleArg(eta, fireCompletion, d)
+			return
+		}
+		d.advance()
+		if !k.done(eng.Now()) {
+			d.reschedule() // as onCompletion re-arms a kernel short of its work
+			return
+		}
+		d.running[0] = nil
+		d.running = d.running[:0]
+		d.putKernel(k)
+		if !c.next() {
+			return
+		}
+		if !eng.AdvanceTo(eng.Now() + d.profile.LaunchGap) {
+			eng.ScheduleArg(d.profile.LaunchGap, advanceChainLaunch, c)
+			return
+		}
+	}
 }
 
 // advance integrates kernel progress from lastUpdate to now at the current
@@ -496,6 +556,15 @@ func (d *Device) advance() {
 // kernel has finished at its completion event.
 const completionEps = 1e-9
 
+// done reports whether k has finished at now: its residue is within
+// completionEps, or so small that its completion instant rounds to now.
+// Far from time zero a clock ulp exceeds completionEps (≈ 1.5e-8 ms a day
+// in), and re-arming such a kernel at now would fire again with nothing
+// integrated, forever.
+func (k *kernel) done(now sim.Time) bool {
+	return k.remaining <= completionEps || now+k.remaining/k.rate == now
+}
+
 // fireCompletion dispatches the pooled completion event to its device.
 func fireCompletion(a any) { a.(*Device).onCompletion() }
 
@@ -504,9 +573,14 @@ func fireCompletion(a any) { a.(*Device).onCompletion() }
 func (d *Device) reschedule() {
 	d.eng.Cancel(d.completion)
 	d.completion = sim.Handle{}
-	if len(d.running) == 0 {
-		return
+	if len(d.running) > 0 {
+		d.completion = d.eng.ScheduleArg(d.rerate(), fireCompletion, d)
 	}
+}
+
+// rerate recomputes the resident kernels' rates and returns the delay until
+// the first of them completes. At least one kernel must be resident.
+func (d *Device) rerate() sim.Time {
 	d.computeRates()
 	eta := math.Inf(1)
 	for _, k := range d.running {
@@ -518,7 +592,7 @@ func (d *Device) reschedule() {
 	if eta < 0 {
 		eta = 0
 	}
-	d.completion = d.eng.ScheduleArg(eta, fireCompletion, d)
+	return eta
 }
 
 // onCompletion retires every kernel whose work is exhausted, then recomputes
@@ -529,11 +603,12 @@ func (d *Device) reschedule() {
 func (d *Device) onCompletion() {
 	d.completion = sim.Handle{}
 	d.advance()
+	now := d.eng.Now()
 	resident := d.running
 	keep := resident[:0]
 	finished := d.finished[:0]
 	for _, k := range resident {
-		if k.remaining <= completionEps {
+		if k.done(now) {
 			finished = append(finished, k)
 		} else {
 			keep = append(keep, k)
@@ -591,7 +666,25 @@ func (d *Device) onCompletion() {
 // (low-occupancy kernels overlap for free); oversubscribed kernels split the
 // residual capacity equally. All intermediate state lives on the device's
 // reusable scratch buffers.
+//
+// When the demands fit both capacities, every kernel is granted exactly its
+// demand, and the general path computes r = d/d, which is exactly 1 for any
+// positive finite d, so each rate is smDegrade. The shortcut sets that
+// directly. Its sums run in index order, as maxMinSharesInto's do (a zero
+// MemFrac adds exactly nothing), so it takes the shortcut exactly when
+// maxMinSharesInto would grant every demand in full.
 func (d *Device) computeRates() {
+	var smSum, memSum float64
+	for _, k := range d.running {
+		smSum += k.spec.SMFrac
+		memSum += k.spec.MemFrac
+	}
+	if smSum <= d.smCap && memSum <= d.memCap*d.memDegrade {
+		for _, k := range d.running {
+			k.rate = d.smDegrade
+		}
+		return
+	}
 	n := len(d.running)
 	d.smDemand = resizeFloats(d.smDemand, n)
 	d.memDemand = resizeFloats(d.memDemand, n)

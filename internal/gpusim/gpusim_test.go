@@ -636,3 +636,28 @@ func TestDegradationValidation(t *testing.T) {
 		d.SetLaunchStall(-1)
 	}()
 }
+
+// TestResidueBelowClockUlpCompletes pins the fix for a livelock a day into a
+// run: this chain's third kernel reaches its completion instant with
+// ≈ 3e-9 ms of residue, above completionEps but below half a clock ulp, so
+// the re-armed completion fired at the same instant forever. The step cap
+// turns a regression into a failure instead of a hang.
+func TestResidueBelowClockUlpCompletes(t *testing.T) {
+	eng := sim.NewEngine()
+	d := New(eng, testProfile())
+	specs := []KernelSpec{
+		{Name: "s0", Work: 1.25, SMFrac: 0.6, MemFrac: 0.3},
+		{Name: "s1", Work: 0.3, SMFrac: 0.9, MemFrac: 0.8},
+		{Name: "s2", Work: 2.1, SMFrac: 0.2, MemFrac: 0},
+	}
+	done := false
+	eng.Schedule(86_400_000.123, func() { d.RunChain(specs, func() { done = true }) })
+	for steps := 0; eng.Step(); steps++ {
+		if steps > 100 {
+			t.Fatalf("still stepping at %v with %d kernel(s) resident", eng.Now(), d.Resident())
+		}
+	}
+	if !done {
+		t.Fatal("chain never completed")
+	}
+}

@@ -70,9 +70,10 @@ func TestClusterUnpacedEndToEnd(t *testing.T) {
 	if routed != acc {
 		t.Errorf("nodes routed %d admissions, gateway accepted %d", routed, acc)
 	}
-	// Ties favor node 0, but a loaded node 0 must shed onto its replica.
-	if st.Nodes[0].Routed == 0 {
-		t.Error("node 0 received no traffic")
+	for _, n := range st.Nodes {
+		if n.Routed == 0 {
+			t.Errorf("node %d received no traffic", n.Node)
+		}
 	}
 
 	body, err := c.Metrics(context.Background())
@@ -91,6 +92,36 @@ func TestClusterUnpacedEndToEnd(t *testing.T) {
 	} {
 		if !strings.Contains(string(body), fam) {
 			t.Errorf("metrics missing per-node sample %s", fam)
+		}
+	}
+}
+
+// TestRouteTieGoesToClockFurthestBehind: one sequential client on an
+// unpaced two-node gateway finds both nodes idle at every request, so their
+// backlogs tie. The node whose virtual clock is furthest behind wins the tie,
+// and with identical requests the two clocks leapfrog, so the nodes alternate
+// exactly (an exact clock tie goes to node 0). A tie to the lowest index sent
+// every request to node 0.
+func TestRouteTieGoesToClockFurthestBehind(t *testing.T) {
+	models := []dnn.ModelID{dnn.ResNet50}
+	c := startGateway(t, Config{
+		Models:    models,
+		Placement: [][]dnn.ModelID{models, models},
+		Speedup:   realtime.Unpaced,
+	})
+	ctx := context.Background()
+	for i := 0; i < 8; i++ {
+		resp, code, err := c.Infer(ctx, InferRequest{Model: dnn.ResNet50.String(), Batch: 4})
+		if err != nil || code != http.StatusOK || !resp.Accepted {
+			t.Fatalf("request %d: HTTP %d, %+v, %v", i, code, resp, err)
+		}
+		st, err := c.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := [2]int64{int64(i/2 + 1), int64((i + 1) / 2)}
+		if got := [2]int64{st.Nodes[0].Routed, st.Nodes[1].Routed}; got != want {
+			t.Fatalf("after %d requests the nodes were routed %v, want %v", i+1, got, want)
 		}
 	}
 }

@@ -1,9 +1,20 @@
+//go:build paced
+
+// The wall-clock-paced end-to-end tests. What they assert depends on how far
+// the host lets the simulator fall behind the paced schedule, so they are
+// not part of `go test ./...`; run them with `go test -tags paced
+// ./internal/server` (`make test-paced`). A failure logs the host's lag.
+// Everything that does not need pacing is asserted unpaced in
+// e2e_unpaced_test.go.
+
 package server
 
 import (
 	"context"
+	"fmt"
 	"math"
-	"net"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,50 +22,82 @@ import (
 	"abacus/internal/trace"
 )
 
-// startGateway brings up a gateway on a loopback port and returns its client.
-func startGateway(t *testing.T, cfg Config) *Client {
+// watchLag watches how far each node's virtual clock falls behind the
+// paced schedule until the returned stop runs, and logs it if the test
+// fails. A paced bridge publishes its clock each time it catches up with the
+// wall clock, so the published clock minus speedup × elapsed wall time is
+// the virtual time the bridge has been busy catching up: the host's lag.
+// Every 10 ms it samples every node; the log gives the worst sample of each
+// wall second.
+func watchLag(t *testing.T, s *Server, speedup float64) (stop func()) {
 	t.Helper()
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	virt0 := make([]float64, len(s.nodes))
+	for i, n := range s.nodes {
+		if err := n.bridge.Do(func() {}); err != nil { // publish a caught-up clock
+			t.Fatal(err)
+		}
+		virt0[i] = n.bridge.Now()
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = s.ServeListener(ln) }()
+	wall0 := time.Now()
+	var worst []float64 // per wall second, virtual ms (negative: behind)
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(10 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-tick.C:
+			}
+			wall := time.Since(wall0)
+			paced := speedup * float64(wall) / float64(time.Millisecond)
+			sec := int(wall / time.Second)
+			for len(worst) <= sec {
+				worst = append(worst, math.Inf(1))
+			}
+			for i, n := range s.nodes {
+				worst[sec] = min(worst[sec], n.bridge.Now()-virt0[i]-paced)
+			}
+		}
+	}()
+	var once sync.Once
+	stop = func() { once.Do(func() { close(quit); <-done }) }
 	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = s.Shutdown(ctx)
+		stop()
+		if t.Failed() {
+			var b strings.Builder
+			for sec, lag := range worst {
+				fmt.Fprintf(&b, "\n  second %d: worst lag %+.1f virtual ms", sec, lag)
+			}
+			t.Logf("host lag at speedup %v (published virtual clock minus paced wall time):%s", speedup, b.String())
+		}
 	})
-	c := NewClient("http://"+ln.Addr().String(), nil)
-	if err := c.WaitReady(context.Background(), 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	return c
+	return stop
 }
 
 // TestEndToEndFast replays a seeded Poisson trace through the live gateway at
-// high speedup and checks what doesn't need real-time pacing: near-zero
-// deadline violations among admitted queries under the oracle predictor, and
-// a /metrics body that parses as text exposition 0.0.4. At this speedup the
-// simulator lags the compressed wall-clock schedule, so arrivals bunch into
-// micro-bursts; an occasional group member with slack headroom can then land
-// past its deadline (the fig15 near-zero shape), hence the small tolerance —
-// the faithfully paced realtime test below asserts strict zero.
+// high speedup and checks what depends on the host keeping up: at least half
+// of the arrivals complete, and few admitted queries violate their deadline
+// under the oracle predictor. At this speedup the simulator lags the
+// compressed wall-clock schedule, so arrivals bunch into micro-bursts; an
+// occasional group member with slack headroom can then land past its
+// deadline (the fig15 near-zero shape), hence the small tolerance.
 func TestEndToEndFast(t *testing.T) {
 	models := []dnn.ModelID{dnn.ResNet152, dnn.InceptionV3}
 	const speedup = 200
 	arrivals := trace.NewGenerator(models, 7).Poisson(40, 4000)
 
-	c := startGateway(t, Config{Models: models, Speedup: speedup})
+	srv, c := startServer(t, Config{Models: models, Speedup: speedup})
+	stop := watchLag(t, srv, speedup)
 	res, err := RunLoad(context.Background(), LoadConfig{
 		Client:   c,
 		Models:   models,
 		Arrivals: arrivals,
 		Speedup:  speedup,
 	})
+	stop()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,22 +106,12 @@ func TestEndToEndFast(t *testing.T) {
 		t.Fatalf("transport trouble: %+v", tot)
 	}
 	if tot.Completed < len(arrivals)/2 {
-		t.Fatalf("only %d/%d completed at a sub-saturation rate", tot.Completed, len(arrivals))
+		t.Fatalf("only %d/%d completed at a sub-saturation rate (%d rejected on deadline)",
+			tot.Completed, len(arrivals), tot.RejectedDeadline)
 	}
 	if limit := 1 + tot.Completed/50; tot.Violated > limit {
 		t.Errorf("%d/%d admitted queries violated their deadline with the oracle predictor (limit %d)",
 			tot.Violated, tot.Completed, limit)
-	}
-	if tot.P99MS <= 0 || tot.P50MS > tot.P99MS {
-		t.Errorf("implausible percentiles p50=%v p99=%v", tot.P50MS, tot.P99MS)
-	}
-
-	body, err := c.Metrics(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateExposition(body); err != nil {
-		t.Errorf("metrics exposition invalid: %v", err)
 	}
 }
 
@@ -102,13 +135,15 @@ func TestEndToEndRealtimeMatchesOffline(t *testing.T) {
 	// Poisson bursts: live and offline then serve the identical query set.
 	arrivals := trace.NewGenerator(models, 11).Poisson(30, 4000)
 
-	c := startGateway(t, Config{Models: models, Speedup: 1, QoSFactor: 6})
+	srv, c := startServer(t, Config{Models: models, Speedup: 1, QoSFactor: 6})
+	stop := watchLag(t, srv, 1)
 	res, err := RunLoad(context.Background(), LoadConfig{
 		Client:   c,
 		Models:   models,
 		Arrivals: arrivals,
 		Speedup:  1,
 	})
+	stop()
 	if err != nil {
 		t.Fatal(err)
 	}

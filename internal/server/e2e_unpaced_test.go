@@ -3,21 +3,57 @@ package server
 import (
 	"bytes"
 	"context"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"abacus/internal/dnn"
 	"abacus/internal/realtime"
 	"abacus/internal/trace"
 )
 
+// startGateway brings up a gateway on a loopback port and returns its client.
+func startGateway(t *testing.T, cfg Config) *Client {
+	t.Helper()
+	_, c := startServer(t, cfg)
+	return c
+}
+
+// startServer is startGateway that also returns the gateway itself.
+func startServer(t *testing.T, cfg Config) (*Server, *Client) {
+	t.Helper()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = s.ServeListener(ln) }()
+	c := NewClient("http://"+ln.Addr().String(), nil)
+	t.Cleanup(func() {
+		// A connection the client dialed but never sent a request on counts
+		// as active for 5 s in http.Server.Shutdown; close them first.
+		c.hc.CloseIdleConnections()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+	})
+	if err := c.WaitReady(context.Background(), 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	return s, c
+}
+
 // TestEndToEndUnpaced runs the gateway in batch mode (realtime.Unpaced): the
 // virtual clock free-runs, so nothing here depends on wall-clock pacing and
 // the test asserts exact count conservation instead of latency percentiles.
-// Unlike the paced realtime e2e test, it has no -short or race-detector
-// skips — it IS the race-detector coverage for the full HTTP → admission →
-// runtime → response path.
+// Unlike the paced e2e tests, it runs in the default suite with no -short or
+// race-detector skips — it IS the race-detector coverage for the full HTTP →
+// admission → runtime → response path.
 func TestEndToEndUnpaced(t *testing.T) {
 	models := []dnn.ModelID{dnn.ResNet152, dnn.InceptionV3}
 	arrivals := trace.NewGenerator(models, 21).Poisson(40, 3000)
@@ -35,9 +71,43 @@ func TestEndToEndUnpaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkUnpacedBooks(t, c, res.Total, len(arrivals))
+}
+
+// TestEndToEndOpenLoopUnpaced replays a seeded Poisson trace open-loop
+// through an unpaced gateway, so every arrival is in flight at once, and
+// asserts what needs no wall-clock pacing. Its paced counterpart,
+// TestEndToEndFast (build tag paced), asserts what depends on the host
+// keeping up with a compressed schedule.
+func TestEndToEndOpenLoopUnpaced(t *testing.T) {
+	models := []dnn.ModelID{dnn.ResNet152, dnn.InceptionV3}
+	arrivals := trace.NewGenerator(models, 7).Poisson(40, 4000)
+
+	c := startGateway(t, Config{Models: models, Speedup: realtime.Unpaced})
+	res, err := RunLoad(context.Background(), LoadConfig{
+		Client:   c,
+		Models:   models,
+		Arrivals: arrivals,
+		Speedup:  realtime.Unpaced,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	tot := res.Total
-	if tot.Sent != len(arrivals) {
-		t.Fatalf("sent %d, want %d", tot.Sent, len(arrivals))
+	if tot.P99MS <= 0 || tot.P50MS > tot.P99MS {
+		t.Errorf("implausible percentiles p50=%v p99=%v", tot.P50MS, tot.P99MS)
+	}
+	checkUnpacedBooks(t, c, tot, len(arrivals))
+}
+
+// checkUnpacedBooks asserts what every unpaced run of sent requests must
+// show: all of them sent, no transport or protocol errors, exactly one final
+// outcome per request, no deadline violations, gateway books that agree with
+// the client's, and a /metrics body that parses as text exposition 0.0.4.
+func checkUnpacedBooks(t *testing.T, c *Client, tot LoadStats, sent int) {
+	t.Helper()
+	if tot.Sent != sent {
+		t.Fatalf("sent %d, want %d", tot.Sent, sent)
 	}
 	if tot.Errors != 0 {
 		t.Fatalf("transport/protocol errors: %d", tot.Errors)
@@ -49,7 +119,8 @@ func TestEndToEndUnpaced(t *testing.T) {
 		t.Fatalf("outcomes %d != sent %d (%+v)", accounted, tot.Sent, tot)
 	}
 	// In batch mode each query completes inside its own admission window, so
-	// nothing is admitted onto a backlog and nothing can violate.
+	// nothing is admitted onto a backlog and, with the oracle predictor,
+	// nothing can violate.
 	if tot.Violated != 0 {
 		t.Errorf("violations in unpaced mode: %d", tot.Violated)
 	}

@@ -42,6 +42,7 @@ type node struct {
 	// Router-visible mirrors, published from the loop goroutine after every
 	// admission-state change.
 	loadMS   atomic.Uint64 // predicted backlog, float64 bits
+	clockMS  atomic.Uint64 // virtual clock at that change, float64 bits
 	degraded []atomic.Bool // per-local-service drift detector state
 
 	// unroutable flips once the autoscaler starts draining the node: the
@@ -303,9 +304,13 @@ func (n *node) admitOne(s *Server, m *admitMsg) {
 }
 
 // publish refreshes the router-visible mirrors. Call from the loop goroutine
-// after any change to admission state.
+// after any change to admission state. The clock is published here rather
+// than read from the bridge, which stores it only once the engine drains:
+// a query's answer can reach its client first, and the client's next query
+// must be routed on the clock that answer left behind.
 func (n *node) publish() {
 	n.loadMS.Store(math.Float64bits(n.adm.BacklogMS()))
+	n.clockMS.Store(math.Float64bits(n.rt.Engine().Now()))
 	for i := range n.degraded {
 		n.degraded[i].Store(n.adm.Degrade().Active(i))
 	}
@@ -313,3 +318,6 @@ func (n *node) publish() {
 
 // load returns the last published predicted backlog (any goroutine).
 func (n *node) load() float64 { return math.Float64frombits(n.loadMS.Load()) }
+
+// clock returns the virtual clock at the last publish (any goroutine).
+func (n *node) clock() float64 { return math.Float64frombits(n.clockMS.Load()) }

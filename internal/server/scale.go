@@ -19,7 +19,6 @@ import (
 	"sort"
 	"time"
 
-	"abacus/internal/cluster"
 	"abacus/internal/scaler"
 )
 
@@ -222,8 +221,7 @@ func (s *Server) routeElastic(svc int, requestID string) (n *node, local int, mi
 		// warming nodes rather than nowhere.
 		cand = fl.warming
 	}
-	pick := cluster.Pick(len(cand), func(i int) float64 { return cand[i].load() })
-	return cand[pick], svc, migrated
+	return cand[leastLoaded(len(cand), func(i int) *node { return cand[i] })], svc, migrated
 }
 
 // AutoscaleStatz is the /statz autoscale block: the controller's live view

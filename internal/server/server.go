@@ -37,7 +37,6 @@ import (
 	"abacus/internal/admit"
 	"abacus/internal/autoscale"
 	"abacus/internal/calib"
-	"abacus/internal/cluster"
 	"abacus/internal/core"
 	"abacus/internal/dnn"
 	"abacus/internal/gpusim"
@@ -696,13 +695,29 @@ func (s *Server) route(svc int, requestID string) (n *node, local int, migrated 
 			cand = healthy
 		}
 	}
-	idx := make([]int, len(cand))
-	for i := range cand {
-		idx[i] = i
-	}
-	pick := cluster.LeastLoaded(idx, func(i int) float64 { return s.nodes[cand[i].node].load() })
-	r := cand[pick]
+	r := cand[leastLoaded(len(cand), func(i int) *node { return s.nodes[cand[i].node] })]
 	return s.nodes[r.node], r.local, migrated
+}
+
+// leastLoaded returns the position in [0, n) of the candidate a query goes
+// to: the smallest published backlog, then the node whose published virtual
+// clock is furthest behind, then the lowest position. An unpaced gateway's
+// nodes are idle at most routing instants, so their backlogs tie; each
+// node's clock advances only as it simulates work, so the clock hands the
+// query to the node that has done the least, where a tie to the lowest
+// position sent most of them to node 0. Hosts that run every node on one
+// engine (chaos, cluster.Run) have one clock, and there the rule is the
+// index order of cluster.Pick. n must be positive.
+func leastLoaded(n int, at func(int) *node) int {
+	best := 0
+	bestLoad, bestClock := at(0).load(), at(0).clock()
+	for i := 1; i < n; i++ {
+		m := at(i)
+		if l, c := m.load(), m.clock(); l < bestLoad || (l == bestLoad && c < bestClock) {
+			best, bestLoad, bestClock = i, l, c
+		}
+	}
+	return best
 }
 
 // handleInfer routes, admits, submits, and answers one query. The whole

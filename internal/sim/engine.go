@@ -20,6 +20,7 @@ package sim
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -145,6 +146,7 @@ type Engine struct {
 	freeLen int
 	alloced int // total Event objects ever allocated (diagnostics)
 	running bool
+	bound   Time // last instant the active Run/RunUntil fires; valid while running
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -382,9 +384,30 @@ func (e *Engine) Step() bool {
 	return true
 }
 
+// AdvanceTo reports whether an event scheduled now for time t would be the
+// next one the active Run or RunUntil fires, and if so moves the clock to t
+// so the caller can do that event's work in place instead. That holds only
+// when a run loop is active (never under a hand-driven Step loop, whose
+// bound the engine cannot know), t is within the loop's bound, and every
+// pending event is due strictly after t — one due at exactly t was scheduled
+// earlier and fires first. The caller must be an event callback with nothing
+// left to do after the call but that work, since in the queued version
+// nothing would run between scheduling and the next pop. The sequence number
+// the event would have taken is never consumed; later events' numbers shift
+// down together and only their order is ever compared, so the run is the
+// same bit for bit. It panics like ScheduleAt on a time before now or NaN.
+func (e *Engine) AdvanceTo(t Time) bool {
+	e.checkTime(t)
+	if !e.running || t > e.bound || (len(e.pending) > 0 && e.pending[0].at <= t) {
+		return false
+	}
+	e.now = t
+	return true
+}
+
 // Run executes events until the queue is empty.
 func (e *Engine) Run() {
-	e.guardReentry()
+	e.guardReentry(math.Inf(1))
 	defer func() { e.running = false }()
 	for e.Step() {
 	}
@@ -396,7 +419,7 @@ func (e *Engine) RunUntil(deadline Time) {
 	if deadline < e.now {
 		panic(fmt.Sprintf("sim: RunUntil(%v) before now %v", deadline, e.now))
 	}
-	e.guardReentry()
+	e.guardReentry(deadline)
 	defer func() { e.running = false }()
 	for len(e.pending) > 0 && e.pending[0].at <= deadline {
 		e.Step()
@@ -404,9 +427,10 @@ func (e *Engine) RunUntil(deadline Time) {
 	e.now = deadline
 }
 
-func (e *Engine) guardReentry() {
+func (e *Engine) guardReentry(bound Time) {
 	if e.running {
 		panic("sim: engine run loop re-entered")
 	}
 	e.running = true
+	e.bound = bound
 }

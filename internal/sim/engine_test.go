@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -236,6 +238,73 @@ func TestReentrantRunPanics(t *testing.T) {
 	if !panicked {
 		t.Error("re-entrant Run did not panic")
 	}
+}
+
+// TestAdvanceToOutsideRun: with no Run/RunUntil active — before any run,
+// after one returned, and inside a callback a hand-driven Step fired — the
+// engine cannot know what fires next, so AdvanceTo refuses and leaves the
+// clock alone.
+func TestAdvanceToOutsideRun(t *testing.T) {
+	e := NewEngine()
+	if e.AdvanceTo(1) {
+		t.Error("AdvanceTo on a fresh engine gave true")
+	}
+	e.Schedule(2, func() {})
+	e.Run()
+	if e.AdvanceTo(3) {
+		t.Error("AdvanceTo after Run had returned gave true")
+	}
+	inStep := true
+	e.Schedule(1, func() { inStep = e.AdvanceTo(4) })
+	e.Step()
+	if inStep {
+		t.Error("AdvanceTo inside a hand-stepped callback gave true")
+	}
+	if e.Now() != 3 {
+		t.Errorf("Now() = %v, want 3: a refused AdvanceTo must not move the clock", e.Now())
+	}
+}
+
+// TestAdvanceToInsideRun: inside a run, AdvanceTo moves the clock when
+// nothing pending is due at or before t, and refuses when an event is due at
+// exactly t (it was scheduled first, so it fires first) or earlier.
+func TestAdvanceToInsideRun(t *testing.T) {
+	e := NewEngine()
+	var got []bool
+	var at []Time
+	e.Schedule(1, func() {
+		got = append(got, e.AdvanceTo(3), e.AdvanceTo(5), e.AdvanceTo(2))
+		at = append(at, e.Now())
+	})
+	e.Schedule(3, func() {})
+	e.Run()
+	if want := []bool{false, false, true}; !slices.Equal(got, want) {
+		t.Errorf("AdvanceTo(3, 5, 2) with an event at 3 = %v, want %v", got, want)
+	}
+	if at[0] != 2 {
+		t.Errorf("clock after AdvanceTo(2) = %v, want 2", at[0])
+	}
+	if e.Now() != 3 {
+		t.Errorf("Run ended at %v, want 3", e.Now())
+	}
+}
+
+// TestAdvanceToRespectsRunUntilBound: RunUntil(d) fires events due at d but
+// none later, so AdvanceTo accepts d and refuses anything past it, and the
+// run still ends with the clock at exactly d.
+func TestAdvanceToRespectsRunUntilBound(t *testing.T) {
+	e := NewEngine()
+	var past, atBound bool
+	e.Schedule(1, func() { past, atBound = e.AdvanceTo(5.5), e.AdvanceTo(5) })
+	e.RunUntil(5)
+	if past || !atBound {
+		t.Errorf("under RunUntil(5): AdvanceTo(5.5) = %v, AdvanceTo(5) = %v; want false, true", past, atBound)
+	}
+	if e.Now() != 5 {
+		t.Errorf("Now() = %v after RunUntil(5)", e.Now())
+	}
+	mustPanic(t, "AdvanceTo into the past", func() { e.AdvanceTo(4) })
+	mustPanic(t, "AdvanceTo(NaN)", func() { e.AdvanceTo(math.NaN()) })
 }
 
 // Property: events always fire in non-decreasing time order, and the clock

@@ -19,6 +19,7 @@ type orderQueue interface {
 	ScheduleBatch(times []Time, fn func(i int))
 	Step() bool
 	RunUntil(deadline Time)
+	AdvanceTo(t Time) bool
 }
 
 type realQueue struct{ *Engine }
@@ -34,8 +35,9 @@ func (q realQueue) ScheduleArg(delay Time, fn func(any), arg any) func() bool {
 }
 
 // refQueue is the ordering contract written down: a slice of events, the
-// earliest by (at, seq) fires next, and ScheduleBatch is by definition one
-// ScheduleAt per member in index order.
+// earliest by (at, seq) fires next, ScheduleBatch is by definition one
+// ScheduleAt per member in index order, and AdvanceTo never fires anything
+// in place: the program then queues the event instead.
 type refQueue struct {
 	now    Time
 	seq    uint64
@@ -100,6 +102,8 @@ func (q *refQueue) Step() bool {
 	ev.fn()
 	return true
 }
+
+func (q *refQueue) AdvanceTo(Time) bool { return false }
 
 func (q *refQueue) RunUntil(deadline Time) {
 	for {
@@ -175,6 +179,17 @@ func runOrderProgram(q orderQueue, prog []byte) []obs {
 			scheduleOne(true)
 		case 2:
 			cancel()
+		case 3:
+			// A new event at a program-named time, fired in place when the
+			// queue proves it is next. This is the callback's last action,
+			// as AdvanceTo requires; the reference always queues it.
+			id, t := newID(), at()
+			if q.AdvanceTo(t) {
+				cancels = append(cancels, func() bool { return false })
+				fire(id)
+			} else {
+				cancels = append(cancels, q.ScheduleAt(t, func() { fire(id) }))
+			}
 		}
 	}
 	for len(prog) > 0 {
@@ -215,7 +230,8 @@ func runOrderProgram(q orderQueue, prog []byte) []obs {
 // FuzzEngineOrder checks the engine's one ordering contract — events fire
 // by (time, scheduling order), whichever of ScheduleAt, ScheduleArg and
 // ScheduleBatch queued them and whatever was canceled or recycled in
-// between — against the reference above.
+// between, and an event AdvanceTo let fire in place is the one that would
+// have fired next — against the reference above.
 func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 3, 0, 3, 0, 2, 5, 5, 5})                                  // ties fire in scheduling order
@@ -224,6 +240,9 @@ func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{0, 3, 5, 4, 0, 1, 2, 4, 0, 4, 1, 5, 4, 0})                   // cancel fired, live, stale
 	f.Add([]byte{0, 7, 2, 3, 2, 7, 0, 7, 3, 5, 5, 0, 2, 5, 5})                // +Inf
 	f.Add([]byte{3, 4, 3, 3, 3, 3, 7, 3, 0, 0, 1, 1, 2, 0, 7, 5, 7, 6, 4, 0}) // RunUntil through a batch
+	f.Add([]byte{0, 3, 0, 5, 7, 7, 3, 2, 3, 3, 0, 0, 3, 6, 0, 5, 5})          // in place, then a tie queues
+	f.Add([]byte{0, 3, 7, 3, 3, 6, 0, 3, 5, 3, 2, 5, 5})                      // in place past the RunUntil bound
+	f.Add([]byte{0, 3, 7, 2, 0, 0, 5, 3, 0, 5, 5})                            // a hand Step after RunUntil refuses
 	// Cancel an entry whose replacement, the heap's last, belongs above it:
 	// the removal must sift up, not only down.
 	f.Add([]byte{0, 0, 0, 5, 0, 2, 0, 6, 0, 6, 0, 6, 0, 6, 0, 6, 0, 6, 0, 3, 4, 5,
