@@ -9,20 +9,9 @@ package chaos
 import (
 	"fmt"
 
+	"abacus/internal/scaler"
 	"abacus/internal/sim"
 )
-
-// newNodeReport allocates a stable per-node report and registers it. Reports
-// live on the heap (not in rep.Nodes) because an elastic run appends nodes
-// mid-flight; finalize folds them into rep.Nodes in ID order.
-func (h *harness) newNodeReport(n *hNode) *NodeReport {
-	nr := &NodeReport{Node: n.id, Services: make([]ServiceReport, len(n.rt.Services()))}
-	for i, svc := range n.rt.Services() {
-		nr.Services[i] = ServiceReport{Service: i, Model: svc.Model.String(), CalibSlope: 1}
-	}
-	h.nodeReps = append(h.nodeReps, nr)
-	return nr
-}
 
 // scaleTick is one control-loop interval: measure offered QPS since the last
 // tick, let the controller decide, and execute its advice as virtual-time
@@ -33,39 +22,24 @@ func (h *harness) scaleTick(now sim.Time) {
 	h.tickQueries = 0
 	adv := h.ctrl.Tick(float64(now), qps)
 	for _, id := range adv.Promote {
-		h.nodes[id].warming = false
+		h.nodes[id].phase = scaler.Active
 	}
 	for _, id := range adv.Add {
-		h.addNode(id, now)
+		// The founders were built from the same config; a failure here is a
+		// harness bug, not a scenario input error.
+		if err := h.addNode(id, now, scaler.Warming); err != nil {
+			panic(fmt.Sprintf("chaos: adding node %d: %v", id, err))
+		}
 	}
 	for _, id := range adv.Drain {
 		h.drainNode(h.nodes[id], now)
 	}
 }
 
-// addNode provisions one warming node on the shared engine mid-run.
-func (h *harness) addNode(id int, now sim.Time) {
-	n, err := h.newHNode(id, h.eng)
-	if err != nil {
-		// The founders were built from the same config; a failure here is a
-		// harness bug, not a scenario input error.
-		panic(fmt.Sprintf("chaos: adding node %d: %v", id, err))
-	}
-	if id != len(h.nodes) {
-		panic(fmt.Sprintf("chaos: controller allocated node %d, harness has %d", id, len(h.nodes)))
-	}
-	n.warming = true
-	nr := h.newNodeReport(n)
-	nr.Window = &NodeWindow{FirstMS: float64(now)}
-	n.rep = nr
-	h.nodes = append(h.nodes, n)
-}
-
-// drainNode marks a node unroutable; it retires once in-flight queries
+// drainNode stops routing to a node; it retires once in-flight queries
 // resolve (immediately when idle).
 func (h *harness) drainNode(n *hNode, now sim.Time) {
-	n.draining = true
-	n.warming = false
+	n.phase = scaler.Draining
 	if n.inflight == 0 {
 		h.retireNode(n, now)
 	}
@@ -74,7 +48,7 @@ func (h *harness) drainNode(n *hNode, now sim.Time) {
 // retireNode closes the node's lifetime window. Its stats stay in the
 // report; the router never sees it again.
 func (h *harness) retireNode(n *hNode, now sim.Time) {
-	n.retired = true
+	n.phase = scaler.Retired
 	n.rep.Window.LastMS = float64(now)
 	h.ctrl.Retire(n.id, float64(now))
 }
@@ -84,7 +58,7 @@ func (h *harness) retireNode(n *hNode, now sim.Time) {
 func (h *harness) finalizeAutoscale() {
 	end := float64(h.eng.Now())
 	for _, n := range h.nodes {
-		if !n.retired {
+		if n.phase != scaler.Retired {
 			n.rep.Window.LastMS = end
 		}
 	}

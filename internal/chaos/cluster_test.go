@@ -1,8 +1,11 @@
 package chaos
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
+
+	"abacus/internal/scaler"
 )
 
 // TestClusterMigration is the cluster acceptance pin: under the built-in
@@ -125,6 +128,39 @@ func TestClusterSingleNodeUnchanged(t *testing.T) {
 	}
 	if strings.Contains(rep.Text(), "node 0:") {
 		t.Error("single-node report text renders node rows")
+	}
+}
+
+// TestFixedEqualsPinnedElastic is law 5(vi): an elastic fleet pinned at
+// MinNodes = MaxNodes = 4 admits, routes and serves every query exactly as
+// a fixed fleet of 4. Both route through fleet.Route over Active nodes, and
+// a controller that may neither add nor drain only ticks. Everything but
+// the autoscale block and the node lifetime windows must match.
+func TestFixedEqualsPinnedElastic(t *testing.T) {
+	sc, _ := Lookup("cluster-node-throttle")
+	fixed, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Autoscale = &scaler.Config{MinNodes: 4, MaxNodes: 4, CapacityQPS: 30}
+	pinned, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pinned.Autoscale == nil || pinned.Autoscale.Ticks == 0 {
+		t.Fatal("the pinned elastic run never ticked its controller")
+	}
+	pinned.Autoscale = nil
+	for i := range pinned.Nodes {
+		pinned.Nodes[i].Window = nil
+	}
+	if fixed.Migrations == 0 {
+		t.Fatal("the throttle caused no migrations; the law is vacuous")
+	}
+	want, _ := json.Marshal(fixed)
+	got, _ := json.Marshal(pinned)
+	if string(got) != string(want) {
+		t.Errorf("pinned elastic fleet diverges from the fixed one:\n got %s\nwant %s", got, want)
 	}
 }
 

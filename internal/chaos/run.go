@@ -2,14 +2,12 @@ package chaos
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"abacus/internal/admit"
 	"abacus/internal/calib"
-	"abacus/internal/cluster"
-	"abacus/internal/core"
 	"abacus/internal/dnn"
-	"abacus/internal/gpusim"
-	"abacus/internal/predictor"
+	"abacus/internal/fleet"
 	"abacus/internal/scaler"
 	"abacus/internal/sched"
 	"abacus/internal/sim"
@@ -130,11 +128,7 @@ type Report struct {
 	Attempts int64 `json:"attempts"` // send attempts incl. retries
 	Retries  int64 `json:"retries"`
 
-	Admitted  int64 `json:"admitted"`
-	Completed int64 `json:"completed"`
-	Good      int64 `json:"good"` // completed within deadline
-	Violated  int64 `json:"violated"`
-	Dropped   int64 `json:"dropped"` // admitted, then dropped by the controller
+	Outcomes
 
 	RejectedDeadline int64 `json:"rejected_deadline"` // verdicts, not requests
 	RejectedQueue    int64 `json:"rejected_queue"`
@@ -175,6 +169,16 @@ type Report struct {
 	Autoscale *AutoscaleReport `json:"autoscale,omitempty"`
 }
 
+// Outcomes counts admitted queries by fate. The run, each service, each
+// node and each node's service row carry one.
+type Outcomes struct {
+	Admitted  int64 `json:"admitted"`
+	Completed int64 `json:"completed"`
+	Good      int64 `json:"good"` // completed within deadline
+	Violated  int64 `json:"violated"`
+	Dropped   int64 `json:"dropped"` // admitted, then dropped by the controller
+}
+
 // AutoscaleReport is the elastic run's scaling summary: what the control
 // loop did and what it cost against static peak provisioning.
 type AutoscaleReport struct {
@@ -209,11 +213,7 @@ type ServiceReport struct {
 	Service int    `json:"service"`
 	Model   string `json:"model"`
 
-	Admitted  int64 `json:"admitted"`
-	Completed int64 `json:"completed"`
-	Good      int64 `json:"good"`
-	Violated  int64 `json:"violated"`
-	Dropped   int64 `json:"dropped"`
+	Outcomes
 
 	RejectedDegraded   int64   `json:"rejected_degraded"`
 	DegradeActive      bool    `json:"degrade_active"`
@@ -235,11 +235,7 @@ type NodeReport struct {
 	Routed     int64 `json:"routed"`
 	MigratedIn int64 `json:"migrated_in"`
 
-	Admitted  int64 `json:"admitted"`
-	Completed int64 `json:"completed"`
-	Good      int64 `json:"good"`
-	Violated  int64 `json:"violated"`
-	Dropped   int64 `json:"dropped"`
+	Outcomes
 
 	DegradeTransitions int64   `json:"degrade_transitions"`
 	DegradeShed        int64   `json:"degrade_shed"`
@@ -277,99 +273,79 @@ type pend struct {
 	workMS float64
 }
 
-// hNode is one node's serving stack inside the harness: its own device on
-// the shared engine, runtime, admitter, perturbation layer, and optional
-// calibration tracker. The lifecycle flags only move in elastic runs; a
-// fixed fleet leaves all three false (fully routable forever).
+// hNode is one node inside the harness: its fleet stack on the shared
+// engine, its report, and its lifecycle phase. A fixed fleet's nodes stay
+// Active; only elastic runs move them.
 type hNode struct {
-	id      int
-	rt      *core.Runtime
-	adm     *admit.Admitter
-	perturb *predictor.Perturbed
-	memo    *predictor.Memoized // nil when the oracle cache is off
-	tracker *calib.Tracker      // nil when calibration is off
-	rep     *NodeReport         // nil for single-node runs
-
-	warming  bool // paying warm-up: probe trickle only
-	draining bool // unroutable, waiting out in-flight queries
-	retired  bool // drained and stopped
-	inflight int  // admitted queries not yet resolved
+	*fleet.Stack
+	id       int
+	rep      *NodeReport // nil for single-node runs
+	phase    scaler.Phase
+	inflight int // admitted queries not yet resolved
 }
+
+func (n *hNode) Phase() scaler.Phase   { return n.phase }
+func (n *hNode) Hosts(int) bool        { return true }
+func (n *hNode) Degraded(svc int) bool { return n.Adm.Degrade().Active(svc) }
+func (n *hNode) Load() float64         { return n.Adm.BacklogMS() }
+func (n *hNode) Clock() float64        { return float64(n.RT.Engine().Now()) }
 
 // harness wires one scenario run; everything runs on the engine goroutine.
 type harness struct {
-	sc       Scenario
-	retry    RetryConfig
-	eng      *sim.Engine
-	nodes    []*hNode
-	nodeReps []*NodeReport // stable per-node reports (folded into rep.Nodes)
-	probes   []int64       // per-service route counter driving quarantine probes
-	pending  map[*sched.Query]*pend
-	rep      *Report
-	lats     []float64
+	sc      Scenario
+	retry   RetryConfig
+	eng     *sim.Engine
+	nodes   []*hNode
+	probes  []atomic.Int64 // per-service routing decisions (fleet.Route)
+	pending map[*sched.Query]*pend
+	rep     *Report
+	lats    []float64
 
 	ctrl        *scaler.Controller // nil for fixed fleets
 	tickQueries int64              // offered arrivals since the last scale tick
-
-	// route scratch, reused across calls to keep the hot path allocation
-	// free now that the candidate set is dynamic.
-	scratchBase    []*hNode
-	scratchHealthy []*hNode
 }
 
-// probeEvery is the quarantine-probe cadence: every Nth routing decision per
-// service ignores the health filter, so a quarantined replica keeps receiving
-// a trickle of traffic. Its drift EWMA then tracks reality — a replica that
-// healed (or tripped on a startup transient) decays below the exit ratio and
-// rejoins, instead of staying frozen out forever because no completions ever
-// update it.
-const probeEvery = 16
-
-func gpuProfile() gpusim.Profile { return gpusim.A100Profile() }
-
-// newHNode builds one node. All nodes share eng (nil eng lets core build its
-// own for the single-node path — behaviorally identical, since a lone device
-// on a fresh engine is exactly the pre-cluster harness).
-func (h *harness) newHNode(id int, eng *sim.Engine) (*hNode, error) {
+// addNode builds node id on the run's engine, in the given phase, at
+// virtual time now. Cluster runs give every node its own report; elastic
+// runs also open its lifetime window.
+func (h *harness) addNode(id int, now sim.Time, phase scaler.Phase) error {
 	sc := h.sc
-	n := &hNode{id: id}
-	oracle := predictor.LatencyModel(predictor.Oracle{Profile: gpuProfile()})
-	if sc.PredictCache > 0 {
-		n.memo = predictor.NewMemoized(oracle, sc.PredictCache)
-		oracle = n.memo
-	}
-	// Distinct noise streams per node; node 0 keeps the scenario seed so
-	// single-node reports are unchanged by the cluster refactor.
-	n.perturb = predictor.NewPerturbed(oracle, 1, 0, sc.Seed+int64(id))
-	var model predictor.LatencyModel = n.perturb
-	if sc.Calib != nil {
-		cc := *sc.Calib
-		// Correction updates move the admitter's memoized solo predictions;
-		// drop them so the next verdict sees the corrected model. n.adm is
-		// assigned below, before any feedback can arrive.
-		cc.OnUpdate = func(int) { n.adm.InvalidateCache() }
-		n.tracker = calib.NewTracker(cc, sc.Models)
-		model = calib.NewCalibrated(n.perturb, n.tracker)
-	}
-	var dev *gpusim.Device
-	if eng != nil {
-		dev = gpusim.New(eng, gpuProfile())
-	}
-	rt, err := core.New(core.Config{
-		Models:    sc.Models,
-		QoSFactor: sc.QoSFactor,
-		Model:     model,
-		Profile:   gpuProfile(),
-		Device:    dev,
-		OnResult:  func(q *sched.Query) { h.onResult(n, q) },
+	n := &hNode{id: id, phase: phase}
+	st, err := fleet.NewStack(fleet.Config{
+		Models:       sc.Models,
+		QoSFactor:    sc.QoSFactor,
+		QueueCap:     sc.QueueCap,
+		Degrade:      sc.Degrade,
+		PredictCache: sc.PredictCache,
+		// Distinct noise streams per node; node 0 keeps the scenario seed
+		// so single-node reports are unchanged by the cluster refactor.
+		Perturb:     true,
+		PerturbSeed: sc.Seed + int64(id),
+		Calib:       sc.Calib,
+		Engine:      h.eng,
+		OnResult:    func(q *sched.Query) { h.onResult(n, q) },
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	n.rt = rt
-	n.adm = admit.New(model, gpuProfile(), rt.Services(), sc.QueueCap, 0.02,
-		admit.NewDegrade(sc.Degrade, len(rt.Services())))
-	return n, nil
+	n.Stack = st
+	if sc.Nodes > 1 || h.ctrl != nil {
+		n.rep = &NodeReport{Node: id, Services: serviceRows(st.RT.Services())}
+		if h.ctrl != nil {
+			n.rep.Window = &NodeWindow{FirstMS: float64(now)}
+		}
+	}
+	h.nodes = append(h.nodes, n)
+	return nil
+}
+
+// serviceRows returns one empty report row per service.
+func serviceRows(services []*sched.Service) []ServiceReport {
+	rows := make([]ServiceReport, len(services))
+	for i, svc := range services {
+		rows[i] = ServiceReport{Service: i, Model: svc.Model.String(), CalibSlope: 1}
+	}
+	return rows
 }
 
 // Run executes one scenario to completion in virtual time.
@@ -446,37 +422,20 @@ func Run(sc Scenario) (*Report, error) {
 		h.retry = sc.Retry.withDefaults()
 	}
 
-	var shared *sim.Engine
-	if sc.Nodes > 1 || ctrl != nil {
-		// One clock, N devices: every node's runtime shares the engine so
-		// per-node fault windows and cross-node routing are one ordered
-		// event stream. Elastic runs always share, even when they open at a
-		// single node — more can appear.
-		shared = sim.NewEngine()
-	}
+	// One clock, N devices: every node's runtime shares the engine, so
+	// per-node fault windows and cross-node routing are one ordered event
+	// stream.
+	h.eng = sim.NewEngine()
 	for id := 0; id < sc.Nodes; id++ {
-		n, err := h.newHNode(id, shared)
-		if err != nil {
+		if err := h.addNode(id, 0, scaler.Active); err != nil {
 			return nil, err
 		}
-		if shared != nil {
-			nr := h.newNodeReport(n)
-			if ctrl != nil {
-				nr.Window = &NodeWindow{} // founders open at t=0
-			}
-			n.rep = nr
-		}
-		h.nodes = append(h.nodes, n)
 	}
-	h.probes = make([]int64, len(sc.Models))
-	h.eng = h.nodes[0].rt.Engine()
+	h.probes = make([]atomic.Int64, len(sc.Models))
 	if sc.Calib != nil {
-		h.rep.Calibrated = h.nodes[0].tracker.Enabled()
+		h.rep.Calibrated = h.nodes[0].Tracker.Enabled()
 	}
-	h.rep.Services = make([]ServiceReport, len(sc.Models))
-	for i, svc := range h.nodes[0].rt.Services() {
-		h.rep.Services[i] = ServiceReport{Service: i, Model: svc.Model.String(), CalibSlope: 1}
-	}
+	h.rep.Services = serviceRows(h.nodes[0].RT.Services())
 
 	// Fault windows first, so a window opening at t applies before any
 	// arrival or retry scheduled at the same instant; scale ticks next, so
@@ -505,7 +464,7 @@ func Run(sc Scenario) (*Report, error) {
 	default:
 		arrivals = trace.NewGenerator(sc.Models, sc.Seed).Poisson(sc.QPS, sc.DurationMS)
 	}
-	services := h.nodes[0].rt.Services()
+	services := h.nodes[0].RT.Services()
 	h.eng.ScheduleBatch(trace.Times(arrivals), func(i int) {
 		a := arrivals[i]
 		r := &request{idx: i, svc: a.Service, in: a.Input, deadline: a.Time + services[a.Service].QoS}
@@ -526,7 +485,7 @@ func Run(sc Scenario) (*Report, error) {
 // margins and divergences take the worst case.
 func (h *harness) finalize() {
 	for _, n := range h.nodes {
-		st := n.adm.Degrade().Snapshot()
+		st := n.Adm.Degrade().Snapshot()
 		h.rep.DegradeTransitions += st.Transitions
 		h.rep.DegradeShed += st.Shed
 		if st.Divergence > h.rep.FinalDivergence {
@@ -537,7 +496,7 @@ func (h *harness) finalize() {
 			n.rep.DegradeShed = st.Shed
 			n.rep.FinalDivergence = st.Divergence
 		}
-		for i, ds := range n.adm.Degrade().ServiceSnapshots() {
+		for i, ds := range n.Adm.Degrade().ServiceSnapshots() {
 			sr := &h.rep.Services[i]
 			sr.RejectedDegraded += ds.Shed
 			sr.DegradeActive = sr.DegradeActive || ds.Active
@@ -557,8 +516,8 @@ func (h *harness) finalize() {
 				nsr.Margin = ds.Margin
 			}
 		}
-		if n.tracker != nil {
-			for i, cs := range n.tracker.Snapshot().Services {
+		if n.Tracker != nil {
+			for i, cs := range n.Tracker.Snapshot().Services {
 				sr := &h.rep.Services[i]
 				// The cluster-wide view keeps the best-fed replica's fit.
 				if n.rep == nil || cs.Samples > sr.CalibSamples {
@@ -585,10 +544,9 @@ func (h *harness) finalize() {
 	if h.ctrl != nil {
 		h.finalizeAutoscale()
 	}
-	if len(h.nodeReps) > 0 {
-		h.rep.Nodes = make([]NodeReport, len(h.nodeReps))
-		for i, nr := range h.nodeReps {
-			h.rep.Nodes[i] = *nr
+	for _, n := range h.nodes {
+		if n.rep != nil {
+			h.rep.Nodes = append(h.rep.Nodes, *n.rep)
 		}
 	}
 }
@@ -598,7 +556,7 @@ func (h *harness) finalize() {
 func (h *harness) scheduleWindow(w Window) {
 	n := h.nodes[w.Node]
 	eng := h.eng
-	dev := n.rt.Device()
+	dev := n.RT.Device()
 	switch w.Kind {
 	case KindGPUThrottle:
 		mem := w.Mem
@@ -618,86 +576,35 @@ func (h *harness) scheduleWindow(w Window) {
 				panic(err)
 			}
 			eng.ScheduleAt(sim.Time(w.Start), func() {
-				n.perturb.SetModelBias(id, w.Magnitude)
-				n.adm.InvalidateCache()
+				n.Perturb.SetModelBias(id, w.Magnitude)
+				n.Adm.InvalidateCache()
 			})
 			eng.ScheduleAt(sim.Time(w.End), func() {
-				n.perturb.SetModelBias(id, 1)
-				n.adm.InvalidateCache()
+				n.Perturb.SetModelBias(id, 1)
+				n.Adm.InvalidateCache()
 			})
 			break
 		}
 		eng.ScheduleAt(sim.Time(w.Start), func() {
-			n.perturb.SetBias(w.Magnitude)
-			n.adm.InvalidateCache()
+			n.Perturb.SetBias(w.Magnitude)
+			n.Adm.InvalidateCache()
 		})
 		eng.ScheduleAt(sim.Time(w.End), func() {
-			n.perturb.SetBias(1)
-			n.adm.InvalidateCache()
+			n.Perturb.SetBias(1)
+			n.Adm.InvalidateCache()
 		})
 	case KindPredictorNoise:
 		eng.ScheduleAt(sim.Time(w.Start), func() {
-			n.perturb.SetNoise(w.Magnitude)
-			n.adm.InvalidateCache()
+			n.Perturb.SetNoise(w.Magnitude)
+			n.Adm.InvalidateCache()
 		})
 		eng.ScheduleAt(sim.Time(w.End), func() {
-			n.perturb.SetNoise(0)
-			n.adm.InvalidateCache()
+			n.Perturb.SetNoise(0)
+			n.Adm.InvalidateCache()
 		})
 	}
 	// Request-fault kinds (drop/duplicate/malformed) act per attempt in
 	// attempt(), not via scheduled state changes.
-}
-
-// route picks the serving node for one query over the mutable routable set:
-// the least-loaded eligible node whose drift detector for the service is
-// quiet, except on probe turns, which consider every eligible replica.
-// Draining and retired nodes never take new work; warming nodes are
-// eligible only on probe turns — the warm-up trickle, reusing the same
-// cadence that lets quarantined replicas rejoin. migrated reports that a
-// degraded replica was skipped. Single-node runs route trivially.
-func (h *harness) route(svc int) (n *hNode, migrated bool) {
-	if len(h.nodes) == 1 {
-		return h.nodes[0], false
-	}
-	h.probes[svc]++
-	probe := h.probes[svc]%probeEvery == 0
-	base := h.scratchBase[:0]
-	for _, c := range h.nodes {
-		if c.draining || c.retired || (c.warming && !probe) {
-			continue
-		}
-		base = append(base, c)
-	}
-	if len(base) == 0 {
-		// Every active node is mid-drain replacement and it is not a probe
-		// turn: fall back to the warming ones rather than stranding the
-		// query.
-		for _, c := range h.nodes {
-			if !c.draining && !c.retired {
-				base = append(base, c)
-			}
-		}
-	}
-	h.scratchBase = base
-	cand := base
-	if !probe {
-		healthy := h.scratchHealthy[:0]
-		for _, c := range base {
-			if !c.adm.Degrade().Active(svc) {
-				healthy = append(healthy, c)
-			}
-		}
-		h.scratchHealthy = healthy
-		// All-degraded falls back to every eligible node: shedding is the
-		// admitters' job, routing still balances what is left.
-		if len(healthy) > 0 {
-			migrated = len(healthy) < len(base)
-			cand = healthy
-		}
-	}
-	pick := cluster.Pick(len(cand), func(i int) float64 { return cand[i].adm.BacklogMS() })
-	return cand[pick], migrated
 }
 
 // attempt plays one client send at virtual time now.
@@ -733,8 +640,8 @@ func (h *harness) attempt(r *request, now sim.Time) {
 		h.rep.GaveUp++
 		return
 	}
-	n, migrated := h.route(r.svc)
-	d := n.adm.Decide(now, r.svc, r.in, sloMS)
+	n, migrated := fleet.Route(h.nodes, r.svc, h.probes)
+	d := n.Adm.Decide(now, r.svc, r.in, sloMS)
 	if !d.OK {
 		switch d.Reason {
 		case admit.ReasonQueueFull:
@@ -748,20 +655,17 @@ func (h *harness) attempt(r *request, now sim.Time) {
 		return
 	}
 
-	h.rep.Admitted++
-	h.rep.Services[r.svc].Admitted++
+	h.tally(n, r.svc, func(o *Outcomes) { o.Admitted++ })
 	if n.rep != nil {
-		n.rep.Admitted++
 		n.rep.Routed++
-		n.rep.Services[r.svc].Admitted++
 		if migrated {
 			n.rep.MigratedIn++
 			h.rep.Migrations++
 		}
 	}
-	n.adm.Admitted(r.svc, d.WorkMS)
+	n.Adm.Admitted(r.svc, d.WorkMS)
 	n.inflight++
-	q := n.rt.SubmitSLO(r.svc, r.in, now, sloMS)
+	q := n.RT.SubmitSLO(r.svc, r.in, now, sloMS)
 	h.pending[q] = &pend{predMS: d.PredMS, workMS: d.WorkMS}
 
 	// A duplicated request hits the gateway's idempotency layer and is
@@ -810,48 +714,41 @@ func (h *harness) onResult(n *hNode, q *sched.Query) {
 	}
 	delete(h.pending, q)
 	n.inflight--
-	if n.draining && !n.retired && n.inflight == 0 {
+	if n.phase == scaler.Draining && n.inflight == 0 {
 		// Last in-flight query resolved: graceful drain completes, the node
 		// retires at this exact virtual instant.
 		h.retireNode(n, h.eng.Now())
 	}
 	svc := q.Service.ID
-	sr := &h.rep.Services[svc]
-	n.adm.Finish(svc, p.workMS)
-	n.adm.Degrade().Observe(svc, p.predMS, q.Latency())
-	if n.tracker != nil {
-		n.tracker.ObserveAdmission(svc, p.workMS, p.predMS-p.workMS, q.Latency())
+	n.Adm.Finish(svc, p.workMS)
+	n.Adm.Degrade().Observe(svc, p.predMS, q.Latency())
+	if n.Tracker != nil {
+		n.Tracker.ObserveAdmission(svc, p.workMS, p.predMS-p.workMS, q.Latency())
 	}
 	if q.Dropped {
-		h.rep.Dropped++
-		sr.Dropped++
-		if n.rep != nil {
-			n.rep.Dropped++
-			n.rep.Services[svc].Dropped++
-		}
+		h.tally(n, svc, func(o *Outcomes) { o.Dropped++ })
 		return
 	}
-	h.rep.Completed++
-	sr.Completed++
-	if n.rep != nil {
-		n.rep.Completed++
-		n.rep.Services[svc].Completed++
-	}
 	h.lats = append(h.lats, q.Latency())
-	if q.Violated() {
-		h.rep.Violated++
-		sr.Violated++
-		if n.rep != nil {
-			n.rep.Violated++
-			n.rep.Services[svc].Violated++
+	violated := q.Violated()
+	h.tally(n, svc, func(o *Outcomes) {
+		o.Completed++
+		if violated {
+			o.Violated++
+		} else {
+			o.Good++
 		}
-	} else {
-		h.rep.Good++
-		sr.Good++
-		if n.rep != nil {
-			n.rep.Good++
-			n.rep.Services[svc].Good++
-		}
+	})
+}
+
+// tally applies f to every Outcomes a query of service svc on node n feeds:
+// the run's, the service's and, in cluster runs, the node's and its row's.
+func (h *harness) tally(n *hNode, svc int, f func(*Outcomes)) {
+	f(&h.rep.Outcomes)
+	f(&h.rep.Services[svc].Outcomes)
+	if n.rep != nil {
+		f(&n.rep.Outcomes)
+		f(&n.rep.Services[svc].Outcomes)
 	}
 }
 

@@ -170,9 +170,7 @@ func Run(cfg Config) Result {
 	switch cfg.Policy {
 	case KubeAbacus:
 		schedulers := make([]sched.Scheduler, numGPUs)
-		all := make([]int, numGPUs)
 		for i := range schedulers {
-			all[i] = i
 			dev := gpusim.New(eng, profile)
 			devices = append(devices, dev)
 			exec := executor.New(dev, 0.02)
@@ -190,7 +188,7 @@ func Run(cfg Config) Result {
 		// Every GPU runs on one engine, so the online gateway's clock
 		// tie-break would reduce to this index order.
 		route = func(q *sched.Query) {
-			best := LeastLoaded(all, func(i int) float64 {
+			best := Pick(numGPUs, func(i int) float64 {
 				return float64(schedulers[i].QueueLen())
 			})
 			schedulers[best].Enqueue(q)

@@ -4,38 +4,22 @@ import "testing"
 
 func TestLeastLoadedPicksSmallest(t *testing.T) {
 	loads := []float64{3, 1, 2}
-	got := LeastLoaded([]int{0, 1, 2}, func(i int) float64 { return loads[i] })
-	if got != 1 {
-		t.Errorf("LeastLoaded = %d, want 1", got)
+	if got := Pick(len(loads), func(i int) float64 { return loads[i] }); got != 1 {
+		t.Errorf("Pick = %d, want 1", got)
+	}
+	if got := Pick(1, func(int) float64 { return 9 }); got != 0 {
+		t.Errorf("single candidate picked %d, want 0", got)
 	}
 }
 
 func TestLeastLoadedTiesGoEarliest(t *testing.T) {
 	loads := []float64{2, 2, 2}
-	if got := LeastLoaded([]int{0, 1, 2}, func(i int) float64 { return loads[i] }); got != 0 {
+	if got := Pick(len(loads), func(i int) float64 { return loads[i] }); got != 0 {
 		t.Errorf("full tie picked %d, want 0", got)
 	}
-	// Candidate order, not index order, decides the tie-break: a router
-	// restricted to healthy nodes passes a subset.
-	if got := LeastLoaded([]int{2, 1}, func(i int) float64 { return loads[i] }); got != 2 {
-		t.Errorf("subset tie picked %d, want 2 (first candidate)", got)
-	}
-}
-
-func TestPickMatchesLeastLoaded(t *testing.T) {
-	loads := []float64{3, 1, 2, 1}
+	loads = []float64{3, 1, 2, 1}
 	if got := Pick(len(loads), func(i int) float64 { return loads[i] }); got != 1 {
 		t.Errorf("Pick = %d, want 1 (smallest load, earliest tie)", got)
-	}
-	// Pick over a dense slice must agree with LeastLoaded over the
-	// identity candidate set — the two routers share one policy.
-	idx := []int{0, 1, 2, 3}
-	want := LeastLoaded(idx, func(i int) float64 { return loads[i] })
-	if got := Pick(len(loads), func(i int) float64 { return loads[i] }); got != want {
-		t.Errorf("Pick = %d, LeastLoaded = %d; policies diverged", got, want)
-	}
-	if got := Pick(1, func(int) float64 { return 9 }); got != 0 {
-		t.Errorf("single candidate picked %d, want 0", got)
 	}
 }
 

@@ -3,8 +3,6 @@ package predictor
 import (
 	"encoding/binary"
 	"fmt"
-
-	"abacus/internal/dnn"
 )
 
 // Memoized wraps a LatencyModel with a bounded group-signature cache.
@@ -17,9 +15,9 @@ import (
 // The inner model must be a pure function of the group (Oracle, a trained
 // Predictor) for the wrapper to be extensionally transparent; wrapping a
 // stateful model such as Perturbed would change its noise-stream
-// consumption. Callers that refit corrections (calib.Tracker.OnUpdate)
-// must invalidate so refits never serve stale values — InvalidateModel for
-// a per-service refit, InvalidateAll for anything broader.
+// consumption, and wrapping a calibrated one would serve stale values after
+// a refit. Stateful layers go above the cache (fleet.NewStack), so nothing
+// ever needs invalidating.
 //
 // Memoized is not safe for concurrent use; like the other latency models
 // it is owned by a single scheduler loop.
@@ -39,8 +37,7 @@ type Memoized struct {
 type memoSlot struct {
 	key  string
 	lat  float64
-	mask uint64 // bitmask of model IDs in the cached group
-	ref  bool   // second-chance bit
+	ref  bool // second-chance bit
 	used bool
 }
 
@@ -49,16 +46,11 @@ type memoSlot struct {
 // contributes n); Misses is exactly the number of predictions the inner
 // model actually computed — the honest measure of model work saved.
 type MemoStats struct {
-	Capacity      int    `json:"capacity"`
-	Size          int    `json:"size"`
-	Hits          uint64 `json:"hits"`
-	Misses        uint64 `json:"misses"`
-	Evictions     uint64 `json:"evictions"`
-	Invalidations uint64 `json:"invalidations"`
-	// ModelInvalidations counts InvalidateModel calls; only entries whose
-	// group contains the named model are dropped, so unrelated groups keep
-	// their cached predictions across a per-service calibration refit.
-	ModelInvalidations uint64 `json:"model_invalidations"`
+	Capacity  int    `json:"capacity"`
+	Size      int    `json:"size"`
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Evictions uint64 `json:"evictions"`
 }
 
 // NewMemoized wraps inner with a cache of at most capacity entries.
@@ -82,53 +74,6 @@ func (m *Memoized) Stats() MemoStats {
 	s := m.stats
 	s.Size = len(m.index)
 	return s
-}
-
-// InvalidateAll drops every cached prediction. Call after any change to the
-// inner model's behavior — e.g. a calibration refit.
-func (m *Memoized) InvalidateAll() {
-	for k := range m.index {
-		delete(m.index, k)
-	}
-	for i := range m.slots {
-		m.slots[i] = memoSlot{}
-	}
-	m.hand = 0
-	m.stats.Invalidations++
-}
-
-// InvalidateModel drops only the cached predictions whose group contains the
-// given model — the per-service cache generation used by calibration refits:
-// a refit of service S's correction cannot change the latency of a group S
-// does not appear in, so those entries stay warm. Models that do not fit the
-// slot mask fall back to a full invalidation (conservative, never stale).
-func (m *Memoized) InvalidateModel(id dnn.ModelID) {
-	if int(id) < 0 || int(id) >= 64 {
-		m.InvalidateAll()
-		return
-	}
-	bit := uint64(1) << uint(id)
-	for i := range m.slots {
-		s := &m.slots[i]
-		if s.used && s.mask&bit != 0 {
-			delete(m.index, s.key)
-			m.slots[i] = memoSlot{}
-		}
-	}
-	m.stats.ModelInvalidations++
-}
-
-// groupMask returns the model bitmask of g; groups holding a model outside
-// the mask width are tagged all-ones so every InvalidateModel drops them.
-func groupMask(g Group) uint64 {
-	var mask uint64
-	for _, e := range g {
-		if int(e.Model) < 0 || int(e.Model) >= 64 {
-			return ^uint64(0)
-		}
-		mask |= 1 << uint(e.Model)
-	}
-	return mask
 }
 
 // appendKey appends the canonical signature of g: its entries in ascending
@@ -171,7 +116,7 @@ func (m *Memoized) lookup(key []byte) (float64, bool) {
 }
 
 // insert stores key → lat, evicting by clock second-chance when full.
-func (m *Memoized) insert(key []byte, lat float64, mask uint64) {
+func (m *Memoized) insert(key []byte, lat float64) {
 	for {
 		s := &m.slots[m.hand]
 		if !s.used {
@@ -186,7 +131,7 @@ func (m *Memoized) insert(key []byte, lat float64, mask uint64) {
 		m.stats.Evictions++
 		break
 	}
-	m.slots[m.hand] = memoSlot{key: string(key), lat: lat, mask: mask, used: true}
+	m.slots[m.hand] = memoSlot{key: string(key), lat: lat, used: true}
 	m.index[m.slots[m.hand].key] = m.hand
 	m.hand = (m.hand + 1) % len(m.slots)
 }
@@ -200,7 +145,7 @@ func (m *Memoized) Predict(g Group) float64 {
 	}
 	m.stats.Misses++
 	lat := m.inner.Predict(g)
-	m.insert(m.keyBuf, lat, groupMask(g))
+	m.insert(m.keyBuf, lat)
 	return lat
 }
 
@@ -242,7 +187,7 @@ func (m *Memoized) PredictBatch(gs []Group) []float64 {
 		for j, idx := range m.missIdx {
 			out[idx] = lats[j]
 			m.keyBuf = appendKey(m.keyBuf[:0], m.missBuf[j])
-			m.insert(m.keyBuf, lats[j], groupMask(m.missBuf[j]))
+			m.insert(m.keyBuf, lats[j])
 		}
 		for _, d := range dups {
 			out[d[0]] = lats[d[1]]

@@ -57,10 +57,10 @@ func randomGroup(rng *rand.Rand) Group {
 	return g
 }
 
-// TestMemoizedExtensionalEquality is the issue's property test: under
-// random interleavings of Predict, PredictBatch, and InvalidateAll, a
-// Memoized wrapper over a pure model returns exactly what the bare model
-// returns — with a capacity small enough that eviction churns constantly.
+// TestMemoizedExtensionalEquality is the memo's property test: under random
+// interleavings of Predict and PredictBatch, a Memoized wrapper over a pure
+// model returns exactly what the bare model returns — with a capacity small
+// enough that eviction churns constantly.
 func TestMemoizedExtensionalEquality(t *testing.T) {
 	for _, capacity := range []int{1, 3, 64} {
 		rng := rand.New(rand.NewSource(int64(11 + capacity)))
@@ -68,14 +68,7 @@ func TestMemoizedExtensionalEquality(t *testing.T) {
 		m := NewMemoized(inner, capacity)
 		for step := 0; step < 2000; step++ {
 			switch rng.Intn(10) {
-			case 0:
-				if rng.Intn(2) == 0 {
-					m.InvalidateAll()
-				} else {
-					ids := []dnn.ModelID{dnn.ResNet50, dnn.ResNet152, dnn.InceptionV3}
-					m.InvalidateModel(ids[rng.Intn(len(ids))])
-				}
-			case 1, 2, 3:
+			case 0, 1, 2, 3:
 				g := randomGroup(rng)
 				if got, want := m.Predict(g), groupValue(g); got != want {
 					t.Fatalf("cap=%d step %d: Predict=%v want %v", capacity, step, got, want)
@@ -134,70 +127,8 @@ func TestMemoizedCaching(t *testing.T) {
 		t.Fatalf("entry order changed the cache key")
 	}
 	st := m.Stats()
-	if st.Hits != 2 || st.Misses != 2 {
-		t.Fatalf("stats %+v, want 2 hits / 2 misses", st)
-	}
-	m.InvalidateAll()
-	if s := m.Stats(); s.Size != 0 || s.Invalidations != 1 {
-		t.Fatalf("post-invalidate stats %+v", s)
-	}
-	if m.Predict(g) != first {
-		t.Fatalf("post-invalidate value changed")
-	}
-	if inner.calls != calls+1 {
-		t.Fatalf("invalidate did not force recompute: calls=%d", inner.calls)
-	}
-}
-
-// TestInvalidateModelKeepsUnrelatedEntries pins the per-service cache
-// generation: invalidating one model drops exactly the entries whose group
-// contains it, so a calibration refit of service S leaves every S-free group
-// warm. The existing hit/miss counters witness which entries survived.
-func TestInvalidateModelKeepsUnrelatedEntries(t *testing.T) {
-	inner := &funcModel{f: groupValue}
-	m := NewMemoized(inner, 8)
-	gA := Group{{Model: dnn.ResNet50, OpStart: 0, OpEnd: 10, Batch: 2}}
-	gB := Group{{Model: dnn.InceptionV3, OpStart: 0, OpEnd: 8, Batch: 1}}
-	gAB := Group{
-		{Model: dnn.ResNet50, OpStart: 0, OpEnd: 10, Batch: 2},
-		{Model: dnn.InceptionV3, OpStart: 0, OpEnd: 8, Batch: 1},
-	}
-	for _, g := range []Group{gA, gB, gAB} {
-		m.Predict(g)
-	}
-	if inner.calls != 3 {
-		t.Fatalf("warmup computed %d predictions, want 3", inner.calls)
-	}
-
-	m.InvalidateModel(dnn.ResNet50)
-	st := m.Stats()
-	if st.Size != 1 {
-		t.Fatalf("size after partial invalidation = %d, want 1 (only the ResNet-free group)", st.Size)
-	}
-	if st.ModelInvalidations != 1 || st.Invalidations != 0 {
-		t.Fatalf("invalidation counters %+v, want model_invalidations=1 and no full invalidations", st)
-	}
-
-	// The untouched group answers from cache; the two containing ResNet-50
-	// recompute.
-	hits, misses := st.Hits, st.Misses
-	for _, g := range []Group{gA, gB, gAB} {
-		if got, want := m.Predict(g), groupValue(g); got != want {
-			t.Fatalf("post-invalidate Predict=%v want %v", got, want)
-		}
-	}
-	st = m.Stats()
-	if st.Hits != hits+1 || st.Misses != misses+2 {
-		t.Fatalf("post-invalidate counters %+v, want +1 hit (unrelated entry kept) and +2 misses", st)
-	}
-	if inner.calls != 5 {
-		t.Fatalf("inner computed %d predictions, want 5", inner.calls)
-	}
-
-	// An out-of-mask model falls back to a full invalidation.
-	m.InvalidateModel(dnn.ModelID(64))
-	if st = m.Stats(); st.Size != 0 || st.Invalidations != 1 {
-		t.Fatalf("out-of-mask invalidation stats %+v, want empty cache via full invalidation", st)
+	if st.Hits != 2 || st.Misses != 2 || st.Size != 2 {
+		t.Fatalf("stats %+v, want 2 hits / 2 misses / 2 entries", st)
 	}
 }
 

@@ -212,7 +212,7 @@ func TestAutoscaleConfigValidation(t *testing.T) {
 	if s.NumNodes() != 2 {
 		t.Errorf("MinNodes 2 built %d founders", s.NumNodes())
 	}
-	for _, n := range s.nodes {
+	for _, n := range s.all() {
 		if len(n.models) != len(ok.Models) {
 			t.Errorf("founder %d hosts %d models, want the full replicated set", n.id, len(n.models))
 		}

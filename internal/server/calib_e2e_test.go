@@ -3,6 +3,11 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -92,5 +97,64 @@ func TestGatewayCalibration(t *testing.T) {
 		if !bytes.Contains(body, []byte(family)) {
 			t.Errorf("metrics missing family %s", family)
 		}
+	}
+}
+
+// TestPredictCacheTransparentUnderCalibration: the memo sits below
+// calibration, so refits never make it stale and never need to reach it. An
+// unpaced gateway whose predictor is 40% optimistic on Res152, calibrating
+// online, answers one sequential client byte for byte the same with the
+// default cache and with none; /statz differs only in its predict_cache
+// blocks.
+func TestPredictCacheTransparentUnderCalibration(t *testing.T) {
+	run := func(cache int) (string, Statz) {
+		pert := predictor.NewPerturbed(predictor.Oracle{Profile: gpusim.A100Profile()}, 1, 0, 7)
+		pert.SetModelBias(dnn.ResNet152, 0.6)
+		s, err := New(Config{
+			Models:       []dnn.ModelID{dnn.ResNet152, dnn.InceptionV3},
+			Speedup:      realtime.Unpaced,
+			Model:        pert,
+			Calib:        &calib.Config{Seed: 7, MinSamples: 8, UpdateEvery: 4},
+			PredictCache: cache,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Start()
+		defer s.Drain()
+		var out strings.Builder
+		for i := 0; i < 120; i++ {
+			body := fmt.Sprintf(`{"model":"Res152","batch":%d}`, 1+i%8)
+			if i%2 == 1 {
+				body = fmt.Sprintf(`{"model":"IncepV3","batch":%d}`, 1+i%5)
+			}
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/infer", strings.NewReader(body)))
+			fmt.Fprintf(&out, "%d %s", rec.Code, rec.Body)
+		}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/statz", nil))
+		var st Statz
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		return out.String(), st
+	}
+	wantResp, want := run(-1)
+	gotResp, got := run(4096)
+	if gotResp != wantResp {
+		t.Errorf("responses diverge with the cache on:\n got %s\nwant %s", firstDiff(gotResp, wantResp), firstDiff(wantResp, gotResp))
+	}
+	if got.PredictCache == nil || got.PredictCache.Hits == 0 || want.PredictCache != nil {
+		t.Fatalf("predict_cache blocks: on %+v, off %+v", got.PredictCache, want.PredictCache)
+	}
+	if want.Calibration.Services[0].Updates == 0 {
+		t.Fatal("no calibration refit happened; the comparison is vacuous")
+	}
+	got.PredictCache, got.Nodes[0].PredictCache = nil, nil
+	gotJSON, _ := json.Marshal(got)
+	wantJSON, _ := json.Marshal(want)
+	if string(gotJSON) != string(wantJSON) {
+		t.Errorf("/statz diverges with the cache on:\n got %s\nwant %s", gotJSON, wantJSON)
 	}
 }

@@ -145,7 +145,7 @@ func TestInferHotPathZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := s.nodes[0]
+	n := s.all()[0]
 	body := []byte(`{"model":"Res50","batch":4,"deadline_ms":500}`)
 	sc := getScratch()
 	defer putScratch(sc)
@@ -158,7 +158,7 @@ func TestInferHotPathZeroAllocs(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		d := n.adm.Decide(n.rt.Engine().Now(), 0, in, sc.req.DeadlineMS)
+		d := n.Adm.Decide(n.RT.Engine().Now(), 0, in, sc.req.DeadlineMS)
 		resp = InferResponse{Model: s.modelName[svc], Batch: sc.req.Batch, SeqLen: sc.req.SeqLen}
 		resp.Accepted = d.OK
 		resp.PredictedMS = d.PredMS
@@ -200,7 +200,7 @@ func BenchmarkInferHotPath(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	n := s.nodes[0]
+	n := s.all()[0]
 	body := []byte(`{"model":"Res50","batch":4,"deadline_ms":500}`)
 	sc := getScratch()
 	defer putScratch(sc)
@@ -213,7 +213,7 @@ func BenchmarkInferHotPath(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		d := n.adm.Decide(n.rt.Engine().Now(), 0, in, sc.req.DeadlineMS)
+		d := n.Adm.Decide(n.RT.Engine().Now(), 0, in, sc.req.DeadlineMS)
 		resp := InferResponse{Model: s.modelName[svc], Batch: sc.req.Batch, SeqLen: sc.req.SeqLen}
 		resp.Accepted = d.OK
 		resp.PredictedMS = d.PredMS

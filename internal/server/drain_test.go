@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"abacus/internal/dnn"
+	"abacus/internal/realtime"
 )
 
 // TestGracefulDrainCompletesInFlight covers the drain satellite: a query in
@@ -114,5 +115,41 @@ func TestDrainingRejectsNewWork(t *testing.T) {
 	}
 	if !st.Draining {
 		t.Error("statz does not report draining")
+	}
+}
+
+// TestShutdownClosesUnusedConnection: a client that dialled the gateway and
+// never sent a request must not hold Shutdown up. http.Server.Shutdown alone
+// counts such a connection as active for 5 s, so a 1 s deadline expired.
+func TestShutdownClosesUnusedConnection(t *testing.T) {
+	s, err := New(Config{Models: []dnn.ModelID{dnn.ResNet50}, Speedup: realtime.Unpaced})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- s.ServeListener(ln) }()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for accepted := false; !accepted; {
+		s.connMu.Lock()
+		accepted = len(s.newConns) == 1
+		s.connMu.Unlock()
+		time.Sleep(time.Millisecond)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown with one unused connection: %v", err)
+	}
+	if err := <-serveErr; err != nil {
+		t.Fatalf("serve returned %v after graceful shutdown", err)
 	}
 }

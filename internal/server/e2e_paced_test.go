@@ -31,8 +31,8 @@ import (
 // wall second.
 func watchLag(t *testing.T, s *Server, speedup float64) (stop func()) {
 	t.Helper()
-	virt0 := make([]float64, len(s.nodes))
-	for i, n := range s.nodes {
+	virt0 := make([]float64, len(s.all()))
+	for i, n := range s.all() {
 		if err := n.bridge.Do(func() {}); err != nil { // publish a caught-up clock
 			t.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func watchLag(t *testing.T, s *Server, speedup float64) (stop func()) {
 			for len(worst) <= sec {
 				worst = append(worst, math.Inf(1))
 			}
-			for i, n := range s.nodes {
+			for i, n := range s.all() {
 				worst[sec] = min(worst[sec], n.bridge.Now()-virt0[i]-paced)
 			}
 		}

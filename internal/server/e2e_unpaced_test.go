@@ -35,9 +35,6 @@ func startServer(t *testing.T, cfg Config) (*Server, *Client) {
 	go func() { _ = s.ServeListener(ln) }()
 	c := NewClient("http://"+ln.Addr().String(), nil)
 	t.Cleanup(func() {
-		// A connection the client dialed but never sent a request on counts
-		// as active for 5 s in http.Server.Shutdown; close them first.
-		c.hc.CloseIdleConnections()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		_ = s.Shutdown(ctx)

@@ -144,9 +144,6 @@ func renderMetrics(st Statz) []byte {
 
 		head("abacus_predict_cache_evictions_total", "counter", "Signatures evicted by the clock hand.")
 		emit("abacus_predict_cache_evictions_total %d\n", pc.Evictions)
-
-		head("abacus_predict_cache_invalidations_total", "counter", "Whole-cache invalidations (calibration refits).")
-		emit("abacus_predict_cache_invalidations_total %d\n", pc.Invalidations)
 	}
 
 	if len(st.Nodes) > 0 {

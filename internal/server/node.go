@@ -6,31 +6,27 @@ import (
 	"sync/atomic"
 
 	"abacus/internal/admit"
-	"abacus/internal/calib"
-	"abacus/internal/core"
 	"abacus/internal/dnn"
-	"abacus/internal/gpusim"
-	"abacus/internal/predictor"
+	"abacus/internal/fleet"
 	"abacus/internal/realtime"
+	"abacus/internal/scaler"
 	"abacus/internal/sched"
 	"abacus/internal/trace"
 )
 
-// node is one per-GPU serving engine behind the gateway: its own simulated
-// device and Abacus runtime, realtime bridge, admission controller, predict
-// cache, and calibration tracker. Every non-atomic field is owned by the
+// node is one per-GPU serving engine behind the gateway: its fleet stack
+// (device, runtime, admitter, predict cache, calibration tracker), realtime
+// bridge and idempotency state. Every non-atomic field is owned by the
 // node's bridge loop goroutine; the router on handler goroutines reads only
-// the published mirrors (load, degraded).
+// the published mirrors (load, clock, degraded) and the phase.
 type node struct {
+	*fleet.Stack
 	id     int
 	models []dnn.ModelID // hosted models, in node-local service order
 	global []int         // local service index → gateway service index
+	local  []int         // gateway service index → local index, -1 when not hosted
 
-	rt      *core.Runtime
-	bridge  *realtime.Bridge
-	adm     *admit.Admitter
-	memo    *predictor.Memoized // nil when the predict cache is off
-	tracker *calib.Tracker      // nil when calibration is off
+	bridge *realtime.Bridge
 
 	pending    map[*sched.Query]*pending
 	byID       map[string]*pending
@@ -45,10 +41,9 @@ type node struct {
 	clockMS  atomic.Uint64 // virtual clock at that change, float64 bits
 	degraded []atomic.Bool // per-local-service drift detector state
 
-	// unroutable flips once the autoscaler starts draining the node: the
-	// router stops picking it and sticky RequestIDs remap to live replicas.
-	// Never set on fixed fleets.
-	unroutable atomic.Bool
+	// phase is the node's scaler.Phase. Fixed fleets stay Active; the
+	// autoscaler moves elastic nodes under Server.scaleMu.
+	phase atomic.Int32
 
 	// Admission mailbox: handler goroutines enqueue admitMsgs here and a
 	// per-node combiner goroutine (admitLoop, started by Server.Start) flows
@@ -97,69 +92,47 @@ func putAdmitMsg(m *admitMsg) {
 	admitMsgPool.Put(m)
 }
 
-// newNode builds one node hosting the given model subset. global maps the
-// node-local service order onto gateway service indices; onResult receives
-// every finished query on the node's loop; onEvict fires when a completed
-// request ID ages out of the node's idempotency cache.
-func newNode(cfg Config, id int, models []dnn.ModelID, global []int,
-	onResult func(*node, *sched.Query), onEvict func(string)) (*node, error) {
+// newNode builds one Active node of gateway s hosting the given model
+// subset; global maps the node-local service order onto gateway service
+// indices. A request ID that ages out of the node's idempotency cache loses
+// its sticky pin.
+func newNode(s *Server, id int, models []dnn.ModelID, global []int) (*node, error) {
+	cfg := s.cfg
 	n := &node{
 		id:       id,
 		models:   models,
 		global:   global,
+		local:    make([]int, len(cfg.Models)),
 		pending:  make(map[*sched.Query]*pending),
 		byID:     make(map[string]*pending),
-		recent:   newOutcomeCache(cfg.DedupeWindow, onEvict),
+		recent:   newOutcomeCache(cfg.DedupeWindow, func(rid string) { s.routes.Delete(rid) }),
 		degraded: make([]atomic.Bool, len(models)),
 		mboxWake: make(chan struct{}, 1),
 	}
-	profile := gpusim.A100Profile()
-	model := cfg.Model
-	if model == nil {
-		model = predictor.Oracle{Profile: profile}
+	for g := range n.local {
+		n.local[g] = -1
 	}
-	if cfg.Calib != nil {
-		cc := *cfg.Calib
-		// A refit moves exactly one service's correction, so only that
-		// service's memoized solo predictions and the group signatures its
-		// model appears in go stale — the per-service cache generation.
-		// n.adm and n.memo are assigned below, before the bridge starts
-		// delivering feedback.
-		cc.OnUpdate = func(local int) {
-			n.adm.InvalidateService(local)
-			if n.memo != nil {
-				n.memo.InvalidateModel(n.models[local])
-			}
-		}
-		n.tracker = calib.NewTracker(cc, models)
-		model = calib.NewCalibrated(model, n.tracker)
+	for l, g := range global {
+		n.local[g] = l
 	}
-	if cfg.PredictCache > 0 {
-		// The memo sits above calibration so cached values are corrected
-		// predictions; refits invalidate per model via OnUpdate above.
-		n.memo = predictor.NewMemoized(model, cfg.PredictCache)
-		model = n.memo
-	}
-	rt, err := core.New(core.Config{
-		Models:    models,
-		QoSFactor: cfg.QoSFactor,
-		Model:     model,
-		Profile:   profile,
-		Sched:     cfg.Sched,
-		SyncCost:  cfg.SyncCost,
-		OnResult:  func(q *sched.Query) { onResult(n, q) },
+	n.setPhase(scaler.Active)
+	st, err := fleet.NewStack(fleet.Config{
+		Models:       models,
+		QoSFactor:    cfg.QoSFactor,
+		Model:        cfg.Model,
+		Sched:        cfg.Sched,
+		SyncCost:     cfg.SyncCost,
+		QueueCap:     cfg.QueueCap,
+		Degrade:      cfg.Degrade,
+		PredictCache: cfg.PredictCache,
+		Calib:        cfg.Calib,
+		OnResult:     func(q *sched.Query) { s.onResult(n, q) },
 	})
 	if err != nil {
 		return nil, err
 	}
-	n.rt = rt
-	n.bridge = realtime.New(rt.Engine(), cfg.Speedup)
-	syncCost := cfg.SyncCost
-	if syncCost == 0 {
-		syncCost = 0.02
-	}
-	n.adm = admit.New(model, rt.Device().Profile(), rt.Services(), cfg.QueueCap, syncCost,
-		admit.NewDegrade(cfg.Degrade, len(models)))
+	n.Stack = st
+	n.bridge = realtime.New(n.RT.Engine(), cfg.Speedup)
 	return n, nil
 }
 
@@ -274,15 +247,15 @@ func (n *node) admitOne(s *Server, m *admitMsg) {
 			return
 		}
 	}
-	now := n.rt.Engine().Now()
+	now := n.RT.Engine().Now()
 	if s.cfg.Capture != nil {
 		s.cfg.Capture.Record(trace.Arrival{Time: float64(now), Service: m.global, Input: m.in})
 	}
-	m.d = n.adm.Decide(now, m.svc, m.in, m.deadlineMS)
+	m.d = n.Adm.Decide(now, m.svc, m.in, m.deadlineMS)
 	if !m.d.OK {
 		return
 	}
-	q := n.rt.SubmitSLO(m.svc, m.in, now, m.deadlineMS)
+	q := n.RT.SubmitSLO(m.svc, m.in, now, m.deadlineMS)
 	p := &pending{
 		q:      q,
 		id:     m.requestID,
@@ -294,7 +267,7 @@ func (n *node) admitOne(s *Server, m *admitMsg) {
 	if m.requestID != "" {
 		n.byID[m.requestID] = p
 	}
-	n.adm.Admitted(m.svc, m.d.WorkMS)
+	n.Adm.Admitted(m.svc, m.d.WorkMS)
 	n.routed++
 	if m.migrated {
 		n.migratedIn++
@@ -309,15 +282,27 @@ func (n *node) admitOne(s *Server, m *admitMsg) {
 // a query's answer can reach its client first, and the client's next query
 // must be routed on the clock that answer left behind.
 func (n *node) publish() {
-	n.loadMS.Store(math.Float64bits(n.adm.BacklogMS()))
-	n.clockMS.Store(math.Float64bits(n.rt.Engine().Now()))
+	n.loadMS.Store(math.Float64bits(n.Adm.BacklogMS()))
+	n.clockMS.Store(math.Float64bits(n.RT.Engine().Now()))
 	for i := range n.degraded {
-		n.degraded[i].Store(n.adm.Degrade().Active(i))
+		n.degraded[i].Store(n.Adm.Degrade().Active(i))
 	}
 }
 
-// load returns the last published predicted backlog (any goroutine).
-func (n *node) load() float64 { return math.Float64frombits(n.loadMS.Load()) }
+// Load returns the last published predicted backlog (any goroutine).
+func (n *node) Load() float64 { return math.Float64frombits(n.loadMS.Load()) }
 
-// clock returns the virtual clock at the last publish (any goroutine).
-func (n *node) clock() float64 { return math.Float64frombits(n.clockMS.Load()) }
+// Clock returns the virtual clock at the last publish (any goroutine).
+func (n *node) Clock() float64 { return math.Float64frombits(n.clockMS.Load()) }
+
+// Phase returns the node's lifecycle phase (any goroutine).
+func (n *node) Phase() scaler.Phase { return scaler.Phase(n.phase.Load()) }
+
+func (n *node) setPhase(p scaler.Phase) { n.phase.Store(int32(p)) }
+
+// Hosts reports whether the node serves gateway service svc.
+func (n *node) Hosts(svc int) bool { return n.local[svc] >= 0 }
+
+// Degraded returns the last published drift state of gateway service svc,
+// which the node must host.
+func (n *node) Degraded(svc int) bool { return n.degraded[n.local[svc]].Load() }

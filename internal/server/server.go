@@ -29,6 +29,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -37,8 +38,8 @@ import (
 	"abacus/internal/admit"
 	"abacus/internal/autoscale"
 	"abacus/internal/calib"
-	"abacus/internal/core"
 	"abacus/internal/dnn"
+	"abacus/internal/fleet"
 	"abacus/internal/gpusim"
 	"abacus/internal/predictor"
 	"abacus/internal/realtime"
@@ -109,8 +110,9 @@ type Config struct {
 	// wrapped around the duration model (predictor.Memoized): steady-state
 	// scheduling rounds re-predict the same group signatures, and the cache
 	// answers repeats without re-running the MLP. 0 selects the default
-	// (4096 signatures); negative disables caching. A calibration refit of
-	// one service invalidates only that service's entries.
+	// (4096 signatures); negative disables caching. The cache holds the
+	// model's raw predictions, below calibration, so a refit never makes
+	// it stale.
 	PredictCache int
 	// Capture, when non-nil, records every validated, non-duplicate arrival
 	// the gateway sees (virtual time, global service index, input) — a live
@@ -136,29 +138,29 @@ type Config struct {
 	StatShards int
 }
 
-// hostRef locates one replica of a service: the hosting node and the
-// service's node-local index there.
-type hostRef struct {
-	node  int
-	local int
-}
-
-// probeEvery is the quarantine-probe cadence: every Nth routing decision per
-// service considers degraded replicas too (see route).
-const probeEvery = 16
-
 // Server is the gateway. Construct with New, then Start before serving its
 // Handler; Drain (or Shutdown) ends its life cycle.
 type Server struct {
-	cfg       Config
-	nodes     []*node
-	hosts     [][]hostRef    // global service index → hosting nodes
+	cfg Config
+	// fleet is every node ever built, in id order: an immutable slice that
+	// the control loop replaces copy-on-write under scaleMu when it adds a
+	// node, so the router reads one pointer and never locks. Fixed fleets
+	// set it once in New.
+	fleet     atomic.Pointer[[]*node]
 	qos       []float64      // global service index → QoS target (ms)
-	probes    []atomic.Int64 // global service index → routing decisions, drives quarantine probes
+	probes    []atomic.Int64 // global service index → routing decisions (fleet.Route)
 	byName    map[string]int // model name → global service index
 	modelName []string       // global service index → canonical name (response echo without alloc)
 	mux       *http.ServeMux
 	httpSrv   atomic.Pointer[http.Server]
+
+	// newConns are the accepted connections that have not sent a request
+	// yet (http.StateNew). http.Server.Shutdown counts each as active for
+	// 5 s, so Shutdown closes them itself once the listener is closed;
+	// closingNew then closes any that the accept loop still hands over.
+	connMu     sync.Mutex
+	newConns   map[net.Conn]struct{}
+	closingNew bool
 
 	// routes pins a RequestID to the node that first accepted it (value:
 	// node id), so retries land where the idempotency caches live. Entries
@@ -180,12 +182,11 @@ type Server struct {
 	svc    []*svcStats
 
 	// Elastic-autoscale state (see scale.go); ctrl is nil when Autoscale is
-	// off and none of the rest is touched. The controller itself is not
-	// goroutine-safe: every use sits under scaleMu. epoch is written once in
-	// Start before any scaling goroutine exists.
+	// off. The controller itself is not goroutine-safe: every use, and every
+	// node phase change, sits under scaleMu. epoch is written once in Start
+	// before any scaling goroutine exists.
 	ctrl      *scaler.Controller
 	scaleMu   sync.Mutex
-	fleet     atomic.Pointer[elasticFleet]
 	epoch     time.Time
 	arrivals  atomic.Int64 // offered queries since the last control tick
 	scaleStop chan struct{}
@@ -290,22 +291,21 @@ func (w *latWindow) snapshot() []float64 {
 
 // placement resolves the node → hosted-models assignment. The single-node
 // default hosts cfg.Models verbatim, keeping the sharded gateway
-// behaviorally identical to the single-engine one. Multi-node defaults seed
-// from the §7.8 overlap-gain grouping and replicate groups round-robin, so
-// every service has at least one migration target when nodes outnumber
-// groups.
+// behaviorally identical to the single-engine one. Elastic fleets are
+// uniform: every node, founder or added later, hosts every model, so any
+// replica can absorb any query when a sibling drains away. Other multi-node
+// defaults seed from the §7.8 overlap-gain grouping and replicate groups
+// round-robin, so every service has at least one migration target when
+// nodes outnumber groups.
 func placement(cfg Config, profile gpusim.Profile) [][]dnn.ModelID {
 	if cfg.Placement != nil {
 		return cfg.Placement
 	}
-	if cfg.Nodes == 1 {
-		return [][]dnn.ModelID{cfg.Models}
+	groups := [][]dnn.ModelID{cfg.Models}
+	if cfg.Nodes > 1 && cfg.Autoscale == nil {
+		groupSize := min((len(cfg.Models)+cfg.Nodes-1)/cfg.Nodes, predictor.MaxCoLocated)
+		groups = autoscale.GroupServices(cfg.Models, groupSize, profile)
 	}
-	groupSize := (len(cfg.Models) + cfg.Nodes - 1) / cfg.Nodes
-	if groupSize > predictor.MaxCoLocated {
-		groupSize = predictor.MaxCoLocated
-	}
-	groups := autoscale.GroupServices(cfg.Models, groupSize, profile)
 	out := make([][]dnn.ModelID, cfg.Nodes)
 	for i := range out {
 		out[i] = groups[i%len(groups)]
@@ -394,18 +394,9 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	place := placement(cfg, gpusim.A100Profile())
-	if ctrl != nil {
-		// Elastic fleets are uniform: every node (founder or added later)
-		// hosts every model, so any replica can absorb any query when a
-		// sibling drains away.
-		place = make([][]dnn.ModelID, cfg.Nodes)
-		for i := range place {
-			place[i] = cfg.Models
-		}
-	}
-	s.hosts = make([][]hostRef, len(cfg.Models))
 	s.qos = make([]float64, len(cfg.Models))
 	s.probes = make([]atomic.Int64, len(cfg.Models))
+	var nodes []*node
 	for id, models := range place {
 		if len(models) == 0 {
 			return nil, fmt.Errorf("server: node %d hosts no models", id)
@@ -426,22 +417,21 @@ func New(cfg Config) (*Server, error) {
 			}
 			seen[m] = true
 			global[local] = g
-			s.hosts[g] = append(s.hosts[g], hostRef{node: id, local: local})
 		}
-		n, err := newNode(cfg, id, models, global, s.onResult,
-			func(evicted string) { s.routes.Delete(evicted) })
+		n, err := newNode(s, id, models, global)
 		if err != nil {
 			return nil, err
 		}
-		s.nodes = append(s.nodes, n)
+		nodes = append(nodes, n)
 	}
-	for g, refs := range s.hosts {
-		if len(refs) == 0 {
-			return nil, fmt.Errorf("server: model %s hosted by no node", cfg.Models[g])
+	for g, m := range cfg.Models {
+		i := slices.IndexFunc(nodes, func(n *node) bool { return n.Hosts(g) })
+		if i < 0 {
+			return nil, fmt.Errorf("server: model %s hosted by no node", m)
 		}
-		r := refs[0]
-		s.qos[g] = s.nodes[r.node].rt.Services()[r.local].QoS
+		s.qos[g] = nodes[i].RT.Services()[nodes[i].local[g]].QoS
 	}
+	s.fleet.Store(&nodes)
 
 	s.ctrl = ctrl
 	if ctrl != nil {
@@ -457,11 +447,11 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Runtime returns node 0's Abacus runtime (tests and diagnostics).
-func (s *Server) Runtime() *core.Runtime { return s.nodes[0].rt }
+// all returns every node ever built, in id order.
+func (s *Server) all() []*node { return *s.fleet.Load() }
 
-// NumNodes returns how many serving nodes back the gateway.
-func (s *Server) NumNodes() int { return len(s.nodes) }
+// NumNodes returns how many serving nodes have been built.
+func (s *Server) NumNodes() int { return len(s.all()) }
 
 // Handler returns the gateway's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
@@ -471,13 +461,11 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // admission combiner. Call once, before serving traffic.
 func (s *Server) Start() {
 	s.epoch = time.Now()
-	for _, n := range s.nodes {
+	for _, n := range s.all() {
 		n.bridge.StartAnchored(s.epoch)
 		go n.admitLoop(s)
 	}
 	if s.ctrl != nil {
-		founders := append([]*node(nil), s.nodes...)
-		s.fleet.Store(&elasticFleet{all: founders, active: founders})
 		go s.scaleLoop()
 	}
 }
@@ -492,17 +480,17 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // their callers.
 func (s *Server) Drain() {
 	s.draining.Store(true)
-	nodes := s.nodes
 	if s.ctrl != nil {
 		// Stop the control loop first so no node is added or drained while
-		// the gateway shuts down; then drain every node ever built (retired
-		// bridges answer ErrStopped, which is fine).
+		// the gateway shuts down.
 		s.stopScale.Do(func() {
 			close(s.scaleStop)
 			<-s.scaleDone
 		})
-		nodes = s.fleet.Load().all
 	}
+	// Every node ever built drains; retired bridges answer ErrStopped,
+	// which is fine.
+	nodes := s.all()
 	// Flush completes all admitted queries immediately in virtual time; the
 	// sinks close their done channels, unblocking every waiting handler.
 	// ErrStopped just means a previous Drain already won.
@@ -536,7 +524,10 @@ func (s *Server) ServeListener(ln net.Listener) error {
 		Handler:           s.mux,
 		ReadHeaderTimeout: s.cfg.ReadHeaderTimeout,
 		ReadTimeout:       s.cfg.ReadTimeout,
+		ConnState:         s.trackNew,
 	}
+	// Shutdown runs its hooks after it has closed the listeners.
+	srv.RegisterOnShutdown(s.closeNewConns)
 	s.httpSrv.Store(srv)
 	s.Start()
 	err := srv.Serve(ln)
@@ -561,6 +552,36 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return nil
 }
 
+// trackNew is the HTTP server's ConnState hook: it keeps the set of
+// connections that have not sent a request yet.
+func (s *Server) trackNew(c net.Conn, state http.ConnState) {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	switch {
+	case state != http.StateNew:
+		delete(s.newConns, c)
+	case s.closingNew:
+		c.Close()
+	default:
+		if s.newConns == nil {
+			s.newConns = make(map[net.Conn]struct{})
+		}
+		s.newConns[c] = struct{}{}
+	}
+}
+
+// closeNewConns closes every connection that has not sent a request; no
+// request is in flight on one. Shutdown calls it once the listener is
+// closed.
+func (s *Server) closeNewConns() {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	s.closingNew = true
+	for c := range s.newConns {
+		c.Close()
+	}
+}
+
 // onResult is a node runtime's sink; it runs on that node's loop goroutine.
 func (s *Server) onResult(n *node, q *sched.Query) {
 	p, ok := n.pending[q]
@@ -573,14 +594,14 @@ func (s *Server) onResult(n *node, q *sched.Query) {
 		n.recent.add(p.id, p)
 	}
 	local := q.Service.ID
-	n.adm.Finish(local, p.workMS)
+	n.Adm.Finish(local, p.workMS)
 	// Feed the divergence tracker the margin-free prediction against what
 	// actually happened; drops observe too (a drop is divergence at its
 	// loudest). The calibration tracker sees the same completion split into
 	// solo work and backlog, and keeps only near-uncontended samples.
-	n.adm.Degrade().Observe(local, p.predMS, q.Latency())
-	if n.tracker != nil {
-		n.tracker.ObserveAdmission(local, p.workMS, p.predMS-p.workMS, q.Latency())
+	n.Adm.Degrade().Observe(local, p.predMS, q.Latency())
+	if n.Tracker != nil {
+		n.Tracker.ObserveAdmission(local, p.workMS, p.predMS-p.workMS, q.Latency())
 	}
 	n.publish()
 
@@ -648,76 +669,34 @@ func (s *Server) respondFinished(w http.ResponseWriter, sc *inferScratch, resp *
 	writeInfer(w, sc, http.StatusOK, resp)
 }
 
-// localOn returns the node-local service index of global service svc on
-// node id, if that node hosts it.
-func (s *Server) localOn(svc, id int) (int, bool) {
-	for _, r := range s.hosts[svc] {
-		if r.node == id {
-			return r.local, true
-		}
-	}
-	return 0, false
-}
-
-// route picks the serving node for one query of global service svc:
-// the sticky node when the RequestID has been seen, otherwise the
-// least-loaded healthy replica. migrated reports that a degraded replica
-// was skipped — the fault-driven migration the chaos suite pins.
-func (s *Server) route(svc int, requestID string) (n *node, local int, migrated bool) {
-	if s.ctrl != nil {
-		return s.routeElastic(svc, requestID)
-	}
+// route picks the serving node for one query of global service svc: the
+// node its RequestID is pinned to while that node is routable and hosts
+// svc, otherwise fleet.Route's pick. A stale pin is dropped, so this attempt
+// and future retries remap.
+func (s *Server) route(svc int, requestID string) (n *node, migrated bool) {
+	nodes := s.all()
 	if requestID != "" {
 		if v, ok := s.routes.Load(requestID); ok {
-			if l, hosts := s.localOn(svc, v.(int)); hosts {
-				return s.nodes[v.(int)], l, false
+			if n := routable(nodes, v.(int), svc); n != nil {
+				return n, false
 			}
+			s.routes.Delete(requestID)
 		}
 	}
-	refs := s.hosts[svc]
-	cand := refs
-	// Every probeEvery-th decision per service skips the health filter so a
-	// quarantined replica keeps receiving a trickle of traffic: its drift
-	// EWMA then tracks reality and a replica that healed (or tripped on a
-	// startup transient) decays below the exit ratio and rejoins, instead
-	// of staying frozen out because no completions ever update it.
-	if len(refs) > 1 && s.probes[svc].Add(1)%probeEvery != 0 {
-		healthy := make([]hostRef, 0, len(refs))
-		for _, r := range refs {
-			if !s.nodes[r.node].degraded[r.local].Load() {
-				healthy = append(healthy, r)
-			}
-		}
-		// All-degraded falls back to every replica: shedding is the
-		// admitters' job, routing still balances what is left.
-		if len(healthy) > 0 {
-			migrated = len(healthy) < len(refs)
-			cand = healthy
-		}
-	}
-	r := cand[leastLoaded(len(cand), func(i int) *node { return s.nodes[cand[i].node] })]
-	return s.nodes[r.node], r.local, migrated
+	return fleet.Route(nodes, svc, s.probes)
 }
 
-// leastLoaded returns the position in [0, n) of the candidate a query goes
-// to: the smallest published backlog, then the node whose published virtual
-// clock is furthest behind, then the lowest position. An unpaced gateway's
-// nodes are idle at most routing instants, so their backlogs tie; each
-// node's clock advances only as it simulates work, so the clock hands the
-// query to the node that has done the least, where a tie to the lowest
-// position sent most of them to node 0. Hosts that run every node on one
-// engine (chaos, cluster.Run) have one clock, and there the rule is the
-// index order of cluster.Pick. n must be positive.
-func leastLoaded(n int, at func(int) *node) int {
-	best := 0
-	bestLoad, bestClock := at(0).load(), at(0).clock()
-	for i := 1; i < n; i++ {
-		m := at(i)
-		if l, c := m.load(), m.clock(); l < bestLoad || (l == bestLoad && c < bestClock) {
-			best, bestLoad, bestClock = i, l, c
-		}
+// routable returns node id when it may take a new query of svc: it is
+// Warming or Active and hosts svc. Otherwise it returns nil.
+func routable(nodes []*node, id, svc int) *node {
+	if id >= len(nodes) {
+		return nil
 	}
-	return best
+	n := nodes[id]
+	if p := n.Phase(); (p != scaler.Warming && p != scaler.Active) || !n.Hosts(svc) {
+		return nil
+	}
+	return n
 }
 
 // handleInfer routes, admits, submits, and answers one query. The whole
@@ -780,7 +759,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		s.arrivals.Add(1)
 	}
 
-	n, local, migrated := s.route(svcIdx, requestID)
+	n, migrated := s.route(svcIdx, requestID)
 	storedRoute := false
 	if requestID != "" {
 		// Pin the ID to one node before admission so concurrent duplicates
@@ -788,24 +767,20 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		if v, loaded := s.routes.LoadOrStore(requestID, n.id); !loaded {
 			storedRoute = true
 		} else if owner := v.(int); owner != n.id {
-			if s.ctrl != nil {
-				// A concurrent duplicate pinned the ID elsewhere; follow it
-				// while the owner is routable, otherwise re-pin to the
-				// replica we picked (best-effort, like the static path).
-				if fl := s.fleet.Load(); owner < len(fl.all) && !fl.all[owner].unroutable.Load() {
-					n, local, migrated = fl.all[owner], svcIdx, false
-				} else {
-					s.routes.Store(requestID, n.id)
-					storedRoute = true
-				}
-			} else if l, hosts := s.localOn(svcIdx, owner); hosts {
-				n, local, migrated = s.nodes[owner], l, false
+			// A concurrent duplicate pinned the ID elsewhere; follow it while
+			// the owner is routable, otherwise re-pin to the replica we
+			// picked (best-effort).
+			if o := routable(s.all(), owner, svcIdx); o != nil {
+				n, migrated = o, false
+			} else {
+				s.routes.Store(requestID, n.id)
+				storedRoute = true
 			}
 		}
 	}
 
 	m := getAdmitMsg()
-	m.svc, m.global = local, svcIdx
+	m.svc, m.global = n.local[svcIdx], svcIdx
 	m.in = in
 	m.deadlineMS = req.DeadlineMS
 	m.requestID = requestID
@@ -933,7 +908,7 @@ func (s *Server) countReject(svc int, reason string) {
 
 // retryAfterSeconds converts a virtual-ms backoff hint into wall seconds.
 func (s *Server) retryAfterSeconds(retryMS float64) int {
-	if s.nodes[0].bridge.Unpaced() {
+	if s.all()[0].bridge.Unpaced() {
 		return 1
 	}
 	sec := int(math.Ceil(retryMS / s.cfg.Speedup / 1000))
@@ -1064,10 +1039,10 @@ func (s *Server) nodeStatz(n *node) NodeStatz {
 	}
 	depths := make([]int, len(n.models))
 	_ = n.bridge.Do(func() {
-		n.adm.CopyOutstanding(depths)
-		st.BacklogPredMS = n.adm.BacklogMS()
-		st.Degrade = n.adm.Degrade().Snapshot()
-		drift := n.adm.Degrade().ServiceSnapshots()
+		n.Adm.CopyOutstanding(depths)
+		st.BacklogPredMS = n.Adm.BacklogMS()
+		st.Degrade = n.Adm.Degrade().Snapshot()
+		drift := n.Adm.Degrade().ServiceSnapshots()
 		for local, g := range n.global {
 			e := NodeServiceStatz{
 				Service:    g,
@@ -1081,15 +1056,15 @@ func (s *Server) nodeStatz(n *node) NodeStatz {
 			}
 			st.Services = append(st.Services, e)
 		}
-		if n.tracker != nil {
-			cs := n.tracker.Snapshot()
+		if n.Tracker != nil {
+			cs := n.Tracker.Snapshot()
 			for i := range cs.Services {
 				cs.Services[i].Service = n.global[cs.Services[i].Service]
 			}
 			st.Calibration = &cs
 		}
-		if n.memo != nil {
-			ms := n.memo.Stats()
+		if n.Memo != nil {
+			ms := n.Memo.Stats()
 			st.PredictCache = &ms
 		}
 		st.Routed = n.routed
@@ -1169,8 +1144,6 @@ func mergePredictCache(nodes []NodeStatz) *predictor.MemoStats {
 		out.Hits += n.PredictCache.Hits
 		out.Misses += n.PredictCache.Misses
 		out.Evictions += n.PredictCache.Evictions
-		out.Invalidations += n.PredictCache.Invalidations
-		out.ModelInvalidations += n.PredictCache.ModelInvalidations
 	}
 	if !any {
 		return nil
@@ -1183,18 +1156,12 @@ func mergePredictCache(nodes []NodeStatz) *predictor.MemoStats {
 // node 0's state through verbatim so pre-sharding consumers see identical
 // numbers.
 func (s *Server) statz() Statz {
-	nodes := s.nodes
-	var phases []string
-	var as *AutoscaleStatz
-	var retired []NodeStatz
-	if s.ctrl != nil {
-		nodes, phases, as, retired = s.autoscaleStatz()
-	}
+	nodes, phases, as, retired := s.liveNodes()
 	nodeSt := make([]NodeStatz, len(nodes))
 	for i, n := range nodes {
 		nodeSt[i] = s.nodeStatz(n)
-		if phases != nil {
-			nodeSt[i].Phase = phases[i]
+		if as != nil {
+			nodeSt[i].Phase = phases[i].String()
 		}
 	}
 
