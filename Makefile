@@ -1,7 +1,7 @@
 # Developer entry points. `make ci` is the full gate: build, vet, format
 # check, the benchmark module's self-test, the test suite under the race
 # detector (the concurrent sweep harness in internal/runner makes -race
-# load-bearing), and a short fuzz budget on the event order. CI layers the
+# load-bearing), and a short budget on every fuzz target. CI layers the
 # targets into lanes: the fast PR lane runs build+vet+fmt-check+bench-check+
 # short tests, the full lane runs `make ci`, and separate lanes run lint
 # (staticcheck) and the benchmarks + chaos scenarios.
@@ -60,11 +60,17 @@ test-race:
 test-paced:
 	$(GO) test -tags paced -count=1 ./internal/server
 
-# FuzzEngineOrder drives sim.Engine and a sort-a-slice reference with the
-# same byte-string program and compares everything observable; a short
-# budget on every full-lane run keeps hunting past the committed corpus.
+# Every fuzz target, ~10 s each; a short budget on every full-lane run keeps
+# hunting past the committed corpora. FuzzEngineOrder drives sim.Engine and a
+# sort-a-slice reference with the same byte-string program; FuzzSpecSpan
+# checks spec-table spans against the cost model bit for bit; the predictor
+# pair checks the feature codec's round trip and the sampler's groups.
+# `go test -fuzz` takes one target per run.
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzEngineOrder -fuzztime 20s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime 10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzSpecSpan$$' -fuzztime 10s ./internal/dnn
+	$(GO) test -run '^$$' -fuzz '^FuzzCodecEncode$$' -fuzztime 10s ./internal/predictor
+	$(GO) test -run '^$$' -fuzz '^FuzzSamplerSeeds$$' -fuzztime 10s ./internal/predictor
 
 # bench/ is a nested module: `go build ./... && go test ./...` never compile
 # it, so an internal signature change can leave tier-1 green and the

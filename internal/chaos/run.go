@@ -295,6 +295,7 @@ type harness struct {
 	sc      Scenario
 	retry   RetryConfig
 	eng     *sim.Engine
+	specs   *dnn.Specs // the run's kernel-spec table, shared by every node
 	nodes   []*hNode
 	probes  []atomic.Int64 // per-service routing decisions (fleet.Route)
 	pending map[*sched.Query]*pend
@@ -323,6 +324,7 @@ func (h *harness) addNode(id int, now sim.Time, phase scaler.Phase) error {
 		PerturbSeed: sc.Seed + int64(id),
 		Calib:       sc.Calib,
 		Engine:      h.eng,
+		Specs:       h.specs,
 		OnResult:    func(q *sched.Query) { h.onResult(n, q) },
 	})
 	if err != nil {
@@ -347,6 +349,10 @@ func serviceRows(services []*sched.Service) []ServiceReport {
 	}
 	return rows
 }
+
+// newSpecs builds each run's kernel-spec table; a test wraps it to watch
+// the table's lifetime.
+var newSpecs = fleet.NewSpecs
 
 // Run executes one scenario to completion in virtual time.
 func Run(sc Scenario) (*Report, error) {
@@ -424,8 +430,9 @@ func Run(sc Scenario) (*Report, error) {
 
 	// One clock, N devices: every node's runtime shares the engine, so
 	// per-node fault windows and cross-node routing are one ordered event
-	// stream.
+	// stream. The nodes share one spec table too, which dies with the run.
 	h.eng = sim.NewEngine()
+	h.specs = newSpecs()
 	for id := 0; id < sc.Nodes; id++ {
 		if err := h.addNode(id, 0, scaler.Active); err != nil {
 			return nil, err

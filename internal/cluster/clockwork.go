@@ -35,11 +35,11 @@ type clockworkGPU struct {
 	busy   bool
 }
 
-func newClockworkController(eng *sim.Engine, profile gpusim.Profile, numGPUs int, sinkFor func(node int) sched.Sink) *clockworkController {
+func newClockworkController(eng *sim.Engine, profile gpusim.Profile, specs *dnn.Specs, numGPUs int, sinkFor func(node int) sched.Sink) *clockworkController {
 	c := &clockworkController{eng: eng, profile: profile, dropSink: sinkFor(-1)}
 	for i := 0; i < numGPUs; i++ {
 		dev := gpusim.New(eng, profile)
-		c.gpus = append(c.gpus, &clockworkGPU{exec: executor.New(dev, 0.02), sink: sinkFor(i)})
+		c.gpus = append(c.gpus, &clockworkGPU{exec: executor.New(dev, 0.02, specs), sink: sinkFor(i)})
 	}
 	return c
 }

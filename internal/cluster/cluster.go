@@ -167,16 +167,17 @@ func Run(cfg Config) Result {
 
 	var devices []*gpusim.Device
 	var route func(q *sched.Query)
+	specs := dnn.NewSpecs(profile)
 	switch cfg.Policy {
 	case KubeAbacus:
 		schedulers := make([]sched.Scheduler, numGPUs)
 		for i := range schedulers {
 			dev := gpusim.New(eng, profile)
 			devices = append(devices, dev)
-			exec := executor.New(dev, 0.02)
+			exec := executor.New(dev, 0.02, specs)
 			model := cfg.Model
 			if model == nil {
-				model = predictor.Oracle{Profile: profile}
+				model = predictor.Oracle{Profile: profile, Specs: specs}
 			}
 			schedCfg := cfg.Sched
 			if schedCfg == (sched.Config{}) {
@@ -194,7 +195,7 @@ func Run(cfg Config) Result {
 			schedulers[best].Enqueue(q)
 		}
 	case Clockwork:
-		ctrl := newClockworkController(eng, profile, numGPUs, sinkFor)
+		ctrl := newClockworkController(eng, profile, specs, numGPUs, sinkFor)
 		for _, g := range ctrl.gpus {
 			devices = append(devices, g.exec.Device())
 		}

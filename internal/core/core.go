@@ -37,6 +37,10 @@ type Config struct {
 	// Device, when non-nil, overrides Profile and runs the runtime on the
 	// given (possibly MIG-partitioned) device.
 	Device *gpusim.Device
+	// Specs is the kernel-spec table the runtime runs on, bound to the
+	// device's profile; nil gives the runtime its own. Runtimes of one host
+	// share one table.
+	Specs *dnn.Specs
 	// OnResult receives every finished or dropped query exactly once.
 	OnResult func(*sched.Query)
 }
@@ -83,9 +87,15 @@ func New(cfg Config) (*Runtime, error) {
 	if syncCost == 0 {
 		syncCost = 0.02
 	}
+	specs := cfg.Specs
+	if specs == nil {
+		specs = dnn.NewSpecs(profile)
+	} else if specs.Profile() != profile {
+		return nil, fmt.Errorf("core: spec table bound to profile %q, device is %q", specs.Profile().Name, profile.Name)
+	}
 	model := cfg.Model
 	if model == nil {
-		model = predictor.Oracle{Profile: profile}
+		model = predictor.Oracle{Profile: profile, Specs: specs}
 	}
 	schedCfg := cfg.Sched
 	if schedCfg == (sched.Config{}) {
@@ -95,7 +105,7 @@ func New(cfg Config) (*Runtime, error) {
 	if sink == nil {
 		sink = func(*sched.Query) {}
 	}
-	exec := executor.New(dev, syncCost)
+	exec := executor.New(dev, syncCost, specs)
 	rt := &Runtime{
 		eng:      eng,
 		dev:      dev,

@@ -104,24 +104,18 @@ func KernelFor(op *Op, in Input, p gpusim.Profile) gpusim.KernelSpec {
 // specs for the given input. Kernels(m, in, p, 0, m.NumOps()) is the whole
 // query. It panics on an invalid span.
 func Kernels(m *Model, in Input, p gpusim.Profile, start, end int) []gpusim.KernelSpec {
-	if start < 0 || end > len(m.Ops) || start > end {
-		panic("dnn: invalid operator span")
+	checkSpan(m, start, end)
+	specs := make([]gpusim.KernelSpec, end-start)
+	for i := range specs {
+		specs[i] = KernelFor(&m.Ops[start+i], in, p)
 	}
-	return AppendKernels(make([]gpusim.KernelSpec, 0, end-start), m, in, p, start, end)
+	return specs
 }
 
-// AppendKernels appends the span's kernel specs to dst and returns the
-// extended slice — the allocation-free variant of Kernels for callers that
-// pool their spec buffers (the executor reuses one per group span). It
-// panics on an invalid span.
-func AppendKernels(dst []gpusim.KernelSpec, m *Model, in Input, p gpusim.Profile, start, end int) []gpusim.KernelSpec {
+func checkSpan(m *Model, start, end int) {
 	if start < 0 || end > len(m.Ops) || start > end {
 		panic("dnn: invalid operator span")
 	}
-	for i := start; i < end; i++ {
-		dst = append(dst, KernelFor(&m.Ops[i], in, p))
-	}
-	return dst
 }
 
 // SpanWork returns the summed solo kernel duration of operators [start, end)

@@ -253,15 +253,21 @@ func TestKernelsSpan(t *testing.T) {
 func TestKernelsInvalidSpanPanics(t *testing.T) {
 	m := Get(ResNet50)
 	p := gpusim.A100Profile()
+	tab := NewSpecs(p)
 	for _, span := range [][2]int{{-1, 3}, {3, 1}, {0, m.NumOps() + 1}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("span %v did not panic", span)
-				}
+		for name, f := range map[string]func(){
+			"Kernels":    func() { Kernels(m, Input{Batch: 4}, p, span[0], span[1]) },
+			"Specs.Span": func() { tab.Span(ResNet50, Input{Batch: 4}, span[0], span[1]) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: span %v did not panic", name, span)
+					}
+				}()
+				f()
 			}()
-			Kernels(m, Input{Batch: 4}, p, span[0], span[1])
-		}()
+		}
 	}
 }
 

@@ -23,8 +23,9 @@ import (
 // Abacus guarantees that the operator overlap is the one the predictor was
 // consulted about (§4 step 3).
 type Executor struct {
-	dev  *gpusim.Device
-	busy bool
+	dev   *gpusim.Device
+	specs *dnn.Specs
+	busy  bool
 
 	syncCost float64 // host-side synchronization cost charged per group, ms
 
@@ -32,35 +33,42 @@ type Executor struct {
 	checkpointed  float64 // bytes of intermediate results currently saved
 	peakCheckpoin float64
 
-	// Pools: group-run records and kernel-spec buffers are recycled across
-	// groups so the issue → overlap → sync cycle allocates nothing in
-	// steady state (see DESIGN.md "Simulation hot path").
-	freeRuns  []*groupRun
-	freeSpecs [][]gpusim.KernelSpec
+	// Group-run records are recycled across groups so the issue → overlap →
+	// sync cycle allocates nothing in steady state (see DESIGN.md
+	// "Simulation hot path").
+	freeRuns []*groupRun
 }
 
-// groupRun tracks one in-flight group: the countdown of unfinished spans,
-// the caller's completion callback, and the pooled spec buffers to release
-// once the group synchronizes. It rides through the device's callback
+// groupRun tracks one in-flight group: the countdown of unfinished spans and
+// the caller's completion callback. It rides through the device's callback
 // machinery as a (func(any), arg) pair, so no closures are allocated.
 type groupRun struct {
 	ex        *Executor
 	remaining int
 	done      func()
-	specs     [][]gpusim.KernelSpec
 }
 
 // New returns an executor over the device. syncCost is the per-group
-// synchronization overhead charged on the virtual clock (≥ 0).
-func New(dev *gpusim.Device, syncCost float64) *Executor {
+// synchronization overhead charged on the virtual clock (≥ 0). specs is the
+// kernel-spec table every span is read from; it must be bound to the
+// device's profile, and nil gives the executor its own.
+func New(dev *gpusim.Device, syncCost float64, specs *dnn.Specs) *Executor {
 	if syncCost < 0 {
 		panic("executor: negative sync cost")
 	}
-	return &Executor{dev: dev, syncCost: syncCost}
+	if specs == nil {
+		specs = dnn.NewSpecs(dev.Profile())
+	} else if specs.Profile() != dev.Profile() {
+		panic("executor: spec table bound to another device profile")
+	}
+	return &Executor{dev: dev, specs: specs, syncCost: syncCost}
 }
 
 // Device returns the underlying device.
 func (e *Executor) Device() *gpusim.Device { return e.dev }
+
+// Specs returns the kernel-spec table the executor reads spans from.
+func (e *Executor) Specs() *dnn.Specs { return e.specs }
 
 // Busy reports whether a group is in flight.
 func (e *Executor) Busy() bool { return e.busy }
@@ -99,9 +107,7 @@ func (e *Executor) Execute(g predictor.Group, done func()) {
 		return
 	}
 	for _, entry := range g {
-		m := dnn.Get(entry.Model)
-		specs := dnn.AppendKernels(e.getSpecs(), m, entry.Input(), e.dev.Profile(), entry.OpStart, entry.OpEnd)
-		gr.specs = append(gr.specs, specs)
+		specs := e.specs.Span(entry.Model, entry.Input(), entry.OpStart, entry.OpEnd)
 		e.dev.RunChainArg(specs, groupSpanDone, gr)
 	}
 }
@@ -116,9 +122,9 @@ func groupSpanDone(a any) {
 	}
 }
 
-// groupSync fires after the synchronization cost elapses: the run record and
-// its spec buffers return to the pool before the caller's callback runs, so
-// a callback that immediately issues the next group reuses them.
+// groupSync fires after the synchronization cost elapses: the run record
+// returns to the pool before the caller's callback runs, so a callback that
+// immediately issues the next group reuses it.
 func groupSync(a any) {
 	gr := a.(*groupRun)
 	ex, done := gr.ex, gr.done
@@ -139,23 +145,8 @@ func (e *Executor) getRun() *groupRun {
 }
 
 func (e *Executor) putRun(gr *groupRun) {
-	for i, s := range gr.specs {
-		e.freeSpecs = append(e.freeSpecs, s[:0])
-		gr.specs[i] = nil
-	}
-	specs := gr.specs[:0]
-	*gr = groupRun{specs: specs}
+	*gr = groupRun{}
 	e.freeRuns = append(e.freeRuns, gr)
-}
-
-func (e *Executor) getSpecs() []gpusim.KernelSpec {
-	if n := len(e.freeSpecs); n > 0 {
-		s := e.freeSpecs[n-1]
-		e.freeSpecs[n-1] = nil
-		e.freeSpecs = e.freeSpecs[:n-1]
-		return s
-	}
-	return nil
 }
 
 // accountCheckpoints updates the intermediate-result memory gauge: an entry

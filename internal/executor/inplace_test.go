@@ -53,7 +53,7 @@ func driveGroups(sc execScenario, run bool, tracer gpusim.Tracer) (execOutcome, 
 	eng.Run() // a Run that has returned must not let a later Step loop go in place
 	dev := gpusim.New(eng, gpusim.A100Profile())
 	dev.SetTracer(tracer)
-	ex := New(dev, 0.02)
+	ex := New(dev, 0.02, nil)
 	var out execOutcome
 	if sc.setup != nil {
 		sc.setup(eng, dev, &out)

@@ -151,9 +151,10 @@ func runMIG(opts Options, c migCase, policy serving.PolicyKind, qps float64, see
 	}
 
 	schedulers := make([]sched.Scheduler, len(c.groups))
+	specs := dnn.NewSpecs(full.Profile())
 	for gi := range c.groups {
 		dev := full.Partition(c.smFrac, c.mFrac)
-		exec := executor.New(dev, 0.02)
+		exec := executor.New(dev, 0.02, specs)
 		switch policy {
 		case serving.PolicyAbacus:
 			schedulers[gi] = sched.NewAbacus(eng, exec, predictor.ForDevice(dev), sched.DefaultConfig(), sink)

@@ -83,10 +83,10 @@ func checkpointPeak(opts Options) float64 {
 	p := profile()
 	eng := sim.NewEngine()
 	dev := gpusim.New(eng, p)
-	exec := executor.New(dev, 0.02)
+	exec := executor.New(dev, 0.02, nil)
 	models := []dnn.ModelID{dnn.ResNet152, dnn.InceptionV3}
 	services := sched.Services(models, 2, p)
-	a := sched.NewAbacus(eng, exec, predictor.Oracle{Profile: p}, sched.DefaultConfig(), func(*sched.Query) {})
+	a := sched.NewAbacus(eng, exec, predictor.Oracle{Profile: p, Specs: exec.Specs()}, sched.DefaultConfig(), func(*sched.Query) {})
 	arrivals := trace.NewGenerator(models, opts.Seed).Poisson(60, 3000)
 	eng.ScheduleBatch(trace.Times(arrivals), func(i int) {
 		arr := arrivals[i]

@@ -104,10 +104,10 @@ func Segments(opts Options) []Table {
 		p := profile()
 		eng := sim.NewEngine()
 		dev := gpusim.New(eng, p)
-		exec := executor.New(dev, 0.02)
+		exec := executor.New(dev, 0.02, nil)
 		services := sched.Services(models, 2, p)
 		var segs []float64
-		ctrl := sched.NewAbacus(eng, exec, predictor.Oracle{Profile: p}, sched.DefaultConfig(), func(q *sched.Query) {
+		ctrl := sched.NewAbacus(eng, exec, predictor.Oracle{Profile: p, Specs: exec.Specs()}, sched.DefaultConfig(), func(q *sched.Query) {
 			if !q.Dropped {
 				segs = append(segs, float64(q.Segments()))
 			}

@@ -53,6 +53,9 @@ type Config struct {
 	// Engine is the clock the node's device runs on; nil gives the node its
 	// own. Nodes that share one engine share one virtual clock.
 	Engine *sim.Engine
+	// Specs is the kernel-spec table the node runs on; nil gives the node
+	// its own. A host builds one table and shares it among all its nodes.
+	Specs *dnn.Specs
 	// OnResult receives every finished or dropped query exactly once.
 	OnResult func(*sched.Query)
 }
@@ -65,6 +68,11 @@ type Stack struct {
 	Perturb *predictor.Perturbed // nil unless Config.Perturb
 	Tracker *calib.Tracker       // nil when calibration is off
 }
+
+// NewSpecs returns an empty kernel-spec table for the device profile
+// NewStack builds nodes on. A host builds one and passes it to every node
+// it builds as Config.Specs.
+func NewSpecs() *dnn.Specs { return dnn.NewSpecs(gpusim.A100Profile()) }
 
 // NewStack builds one node. The scheduler and the admitter predict through
 // the same model, Calibrated?(Perturbed?(Memo?(base))), each layer present
@@ -82,10 +90,14 @@ func NewStack(cfg Config) (*Stack, error) {
 	if syncCost == 0 {
 		syncCost = 0.02
 	}
+	specs := cfg.Specs
+	if specs == nil {
+		specs = NewSpecs()
+	}
 	st := &Stack{}
 	model := cfg.Model
 	if model == nil {
-		model = predictor.Oracle{Profile: profile}
+		model = predictor.Oracle{Profile: profile, Specs: specs}
 	}
 	if cfg.PredictCache > 0 {
 		st.Memo = predictor.NewMemoized(model, cfg.PredictCache)
@@ -109,6 +121,7 @@ func NewStack(cfg Config) (*Stack, error) {
 		Sched:     cfg.Sched,
 		SyncCost:  syncCost,
 		Device:    gpusim.New(eng, profile),
+		Specs:     specs,
 		OnResult:  cfg.OnResult,
 	})
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"abacus/internal/calib"
 	"abacus/internal/dnn"
+	"abacus/internal/gpusim"
 	"abacus/internal/scaler"
 )
 
@@ -136,5 +137,36 @@ func TestNewStackRefitTouchesOneService(t *testing.T) {
 	if got.Misses != memo.Misses || got.Hits != memo.Hits+1 {
 		t.Errorf("memo after refit: %d misses, %d hits; want %d misses and one more hit (service 0 only)",
 			got.Misses, got.Hits, memo.Misses)
+	}
+}
+
+// TestNewStackSpecTable: a node runs on the spec table its host passes, so
+// a host's nodes share one; with none a node gets its own, and a table for
+// another device profile is refused.
+func TestNewStackSpecTable(t *testing.T) {
+	host := NewSpecs()
+	cfg := Config{Models: []dnn.ModelID{dnn.ResNet50, dnn.VGG16}, QueueCap: 64, Specs: host}
+	for i := 0; i < 2; i++ {
+		st, err := NewStack(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.RT.Executor().Specs() != host {
+			t.Errorf("node %d does not run on its host's table", i)
+		}
+	}
+	cfg.Specs = nil
+	own, err := NewStack(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := own.RT.Executor().Specs(); s == nil || s == host {
+		t.Error("a node given no table does not get its own")
+	}
+	other := gpusim.A100Profile()
+	other.NumSMs = 108
+	cfg.Specs = dnn.NewSpecs(other)
+	if _, err := NewStack(cfg); err == nil {
+		t.Error("NewStack accepted a spec table for another device profile")
 	}
 }

@@ -82,13 +82,14 @@ func Measure(g Group, p gpusim.Profile, sigma float64, seed int64) float64 {
 	if sigma > 0 {
 		dev.EnableNoise(sigma, seed)
 	}
-	return MeasureOn(g, dev)
+	return MeasureOn(g, dev, nil)
 }
 
 // MeasureOn executes the group on the given idle device starting at the
 // engine's current time and returns the group latency (makespan). The
-// device must have no resident kernels.
-func MeasureOn(g Group, dev *gpusim.Device) float64 {
+// device must have no resident kernels. specs, when non-nil, must be bound
+// to the device's profile; nil derives the spans' specs afresh.
+func MeasureOn(g Group, dev *gpusim.Device, specs *dnn.Specs) float64 {
 	if err := g.Validate(); err != nil {
 		panic(err)
 	}
@@ -100,9 +101,13 @@ func MeasureOn(g Group, dev *gpusim.Device) float64 {
 		return 0
 	}
 	for _, e := range g {
-		m := dnn.Get(e.Model)
-		specs := dnn.Kernels(m, e.Input(), dev.Profile(), e.OpStart, e.OpEnd)
-		dev.RunChain(specs, func() {
+		var span []gpusim.KernelSpec
+		if specs != nil {
+			span = specs.Span(e.Model, e.Input(), e.OpStart, e.OpEnd)
+		} else {
+			span = dnn.Kernels(dnn.Get(e.Model), e.Input(), dev.Profile(), e.OpStart, e.OpEnd)
+		}
+		dev.RunChain(span, func() {
 			remaining--
 			if remaining == 0 {
 				finish = eng.Now()

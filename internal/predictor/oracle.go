@@ -1,6 +1,7 @@
 package predictor
 
 import (
+	"abacus/internal/dnn"
 	"abacus/internal/gpusim"
 	"abacus/internal/sim"
 )
@@ -18,10 +19,13 @@ type LatencyModel interface {
 // hypothetical perfect predictor and bounds what the MLP can achieve.
 // SMCap/MemCap (default 1 = full device) let it model a MIG instance: the
 // duration model must reflect the capacity the executor actually runs on.
+// Specs, when non-nil, is the host's kernel-spec table, bound to Profile;
+// nil derives every group's specs afresh.
 type Oracle struct {
 	Profile gpusim.Profile
 	SMCap   float64
 	MemCap  float64
+	Specs   *dnn.Specs
 }
 
 // ForDevice returns an oracle matched to the device's profile and
@@ -44,7 +48,7 @@ func (o Oracle) Predict(g Group) float64 {
 		}
 		dev = dev.Partition(sm, mem)
 	}
-	return MeasureOn(g, dev)
+	return MeasureOn(g, dev, o.Specs)
 }
 
 // PredictBatch implements LatencyModel.

@@ -2,6 +2,7 @@ package predictor
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -389,5 +390,33 @@ func TestEncodePermutationInvariance(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestOracleReadsSpecTable: an oracle given its host's spec table predicts
+// the same floats as one deriving specs afresh, in and out of the served
+// input domain, and reads its spans from the table instead of allocating
+// them.
+func TestOracleReadsSpecTable(t *testing.T) {
+	p := gpusim.A100Profile()
+	fresh := Oracle{Profile: p}
+	table := Oracle{Profile: p, Specs: dnn.NewSpecs(p)}
+	bert := dnn.Get(dnn.Bert)
+	groups := []Group{
+		pairRes50Res152(8),
+		{{Model: dnn.Bert, OpStart: 3, OpEnd: bert.NumOps() - 5, Batch: 16, SeqLen: 32},
+			{Model: dnn.VGG19, OpStart: 0, OpEnd: 12, Batch: 4}},
+		{{Model: dnn.InceptionV3, OpStart: 0, OpEnd: 40, Batch: 2}}, // below MinBatch
+	}
+	for i, g := range groups {
+		if a, b := fresh.Predict(g), table.Predict(g); math.Float64bits(a) != math.Float64bits(b) {
+			t.Errorf("group %d: fresh specs predict %v, the table %v", i, a, b)
+		}
+	}
+	g := groups[0]
+	withTable := testing.AllocsPerRun(20, func() { table.Predict(g) })
+	without := testing.AllocsPerRun(20, func() { fresh.Predict(g) })
+	if withTable >= without {
+		t.Errorf("Predict allocates %v times with the table, %v without: the table is not read", withTable, without)
 	}
 }

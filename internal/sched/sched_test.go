@@ -26,7 +26,7 @@ func newHarness(t *testing.T, models ...dnn.ModelID) *harness {
 	dev := gpusim.New(eng, p)
 	return &harness{
 		eng:      eng,
-		exec:     executor.New(dev, 0.02),
+		exec:     executor.New(dev, 0.02, nil),
 		services: Services(models, 2, p),
 		profile:  p,
 	}

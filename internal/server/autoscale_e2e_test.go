@@ -85,6 +85,11 @@ func TestGatewayAutoscaleLifecycle(t *testing.T) {
 			t.Errorf("elastic node %d has no phase", n.Node)
 		}
 	}
+	for _, n := range s.all() {
+		if n.RT.Executor().Specs() != s.specs {
+			t.Errorf("node %d runs on its own spec table, not the gateway's", n.id)
+		}
+	}
 
 	// Phase 2: go idle; the forecast decays, cooldown expires, and the
 	// newest nodes drain, finish, and retire with terminal snapshots.

@@ -126,6 +126,7 @@ func newNode(s *Server, id int, models []dnn.ModelID, global []int) (*node, erro
 		Degrade:      cfg.Degrade,
 		PredictCache: cfg.PredictCache,
 		Calib:        cfg.Calib,
+		Specs:        s.specs,
 		OnResult:     func(q *sched.Query) { s.onResult(n, q) },
 	})
 	if err != nil {

@@ -147,6 +147,7 @@ type Server struct {
 	// node, so the router reads one pointer and never locks. Fixed fleets
 	// set it once in New.
 	fleet     atomic.Pointer[[]*node]
+	specs     *dnn.Specs     // kernel-spec table every node in fleet runs on
 	qos       []float64      // global service index → QoS target (ms)
 	probes    []atomic.Int64 // global service index → routing decisions (fleet.Route)
 	byName    map[string]int // model name → global service index
@@ -381,7 +382,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.StatShards = len(cfg.Models)
 	}
 
-	s := &Server{cfg: cfg, byName: make(map[string]int)}
+	s := &Server{cfg: cfg, byName: make(map[string]int), specs: fleet.NewSpecs()}
 	s.statMu = make([]sync.Mutex, cfg.StatShards)
 	for i, m := range cfg.Models {
 		name := m.String()

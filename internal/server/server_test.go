@@ -369,3 +369,37 @@ func TestValidateExpositionRejectsGarbage(t *testing.T) {
 		t.Errorf("rejected valid exposition: %v", err)
 	}
 }
+
+// TestNodesShareOneSpecTable: a gateway is one host, so every node it ever
+// builds — the founders and a node added by scale-out, which goes through
+// the same newNode — runs on the one spec table built in New, and another
+// gateway has its own.
+func TestNodesShareOneSpecTable(t *testing.T) {
+	cfg := Config{Models: []dnn.ModelID{dnn.ResNet152, dnn.InceptionV3}, Nodes: 2}
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	founders := a.all()
+	added, err := newNode(a, len(founders), cfg.Models, founders[0].global)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range append(founders, added) {
+		if n.RT.Executor().Specs() != a.specs {
+			t.Errorf("node %d runs on its own spec table, not the gateway's", n.id)
+		}
+	}
+	if a.specs == b.specs {
+		t.Fatal("two gateways share one spec table")
+	}
+	for _, n := range b.all() {
+		if n.RT.Executor().Specs() != b.specs {
+			t.Errorf("second gateway's node %d runs on another table", n.id)
+		}
+	}
+}

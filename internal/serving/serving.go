@@ -134,7 +134,8 @@ func Run(cfg RunConfig) Result {
 	if syncCost == 0 {
 		syncCost = 0.02
 	}
-	exec := executor.New(dev, syncCost)
+	specs := dnn.NewSpecs(profile)
+	exec := executor.New(dev, syncCost, specs)
 
 	services := cfg.Services
 	if services == nil {
@@ -181,7 +182,7 @@ func Run(cfg RunConfig) Result {
 	case PolicyAbacus:
 		model := cfg.Model
 		if model == nil {
-			model = predictor.Oracle{Profile: profile}
+			model = predictor.Oracle{Profile: profile, Specs: specs}
 		}
 		scheduler = sched.NewAbacus(eng, exec, model, schedCfg, sink)
 	case PolicyMPS:
