@@ -108,8 +108,11 @@ workload:
 # Run the executable examples that double as end-to-end smoke tests; the
 # autoscale example drives the live elastic scaler through a full diurnal
 # cycle in virtual time, so a lifecycle regression fails `make ci` even
-# before the test suite points at it.
+# before the test suite points at it. The MIG and cluster examples run the
+# offline serving loop on partitioned and multi-GPU placements.
 examples:
 	$(GO) run ./examples/autoscale
+	$(GO) run ./examples/mig
+	$(GO) run ./examples/cluster
 
 ci: build vet fmt-check bench-check test-race fuzz workload examples

@@ -4,6 +4,8 @@
 // service, offer index), never on goroutine scheduling.
 package calib
 
+import "abacus/internal/rng"
+
 type reservoir struct {
 	cap    int
 	seed   uint64
@@ -24,7 +26,7 @@ func (r *reservoir) add(x, y float64) {
 		return
 	}
 	// Keep the n-th sample with probability cap/n, at a uniform slot.
-	j := splitmix(r.seed, r.salt, r.n) % r.n
+	j := rng.Keyed(r.seed, r.salt, r.n, 0) % r.n
 	if j < uint64(r.cap) {
 		r.xs[j] = x
 		r.ys[j] = y
@@ -43,16 +45,4 @@ func (r *reservoir) residuals() []float64 {
 		out[i] = r.ys[i] - r.xs[i]
 	}
 	return out
-}
-
-// splitmix is the splitmix64 finalizer over a keyed mix — the same
-// construction the chaos harness uses for fault coins.
-func splitmix(seed, salt, i uint64) uint64 {
-	x := seed*0x9e3779b97f4a7c15 + salt*0xbf58476d1ce4e5b9 + i*0x94d049bb133111eb
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }

@@ -8,6 +8,7 @@ import (
 	"abacus/internal/calib"
 	"abacus/internal/dnn"
 	"abacus/internal/fleet"
+	"abacus/internal/rng"
 	"abacus/internal/scaler"
 	"abacus/internal/sched"
 	"abacus/internal/sim"
@@ -727,11 +728,7 @@ func (h *harness) onResult(n *hNode, q *sched.Query) {
 		h.retireNode(n, h.eng.Now())
 	}
 	svc := q.Service.ID
-	n.Adm.Finish(svc, p.workMS)
-	n.Adm.Degrade().Observe(svc, p.predMS, q.Latency())
-	if n.Tracker != nil {
-		n.Tracker.ObserveAdmission(svc, p.workMS, p.predMS-p.workMS, q.Latency())
-	}
+	n.Resolve(svc, p.predMS, p.workMS, q.Latency())
 	if q.Dropped {
 		h.tally(n, svc, func(o *Outcomes) { o.Dropped++ })
 		return
@@ -760,17 +757,8 @@ func (h *harness) tally(n *hNode, svc int, f func(*Outcomes)) {
 }
 
 // coin returns a deterministic uniform draw in [0, 1) keyed by (seed,
-// request, attempt, salt) — a splitmix64 finalizer, so fault decisions are
+// request, attempt, salt) — a splitmix64 keyed mix, so fault decisions are
 // independent of scheduling or parallelism.
 func (h *harness) coin(idx, attempt, salt int) float64 {
-	x := uint64(h.sc.Seed)*0x9e3779b97f4a7c15 +
-		uint64(idx)*0xbf58476d1ce4e5b9 +
-		uint64(attempt)*0x94d049bb133111eb +
-		uint64(salt)*0x2545f4914f6cdd1d
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return float64(x>>11) / (1 << 53)
+	return float64(rng.Keyed(uint64(h.sc.Seed), uint64(idx), uint64(attempt), uint64(salt))>>11) / (1 << 53)
 }

@@ -35,10 +35,11 @@ type clockworkGPU struct {
 	busy   bool
 }
 
-func newClockworkController(eng *sim.Engine, profile gpusim.Profile, specs *dnn.Specs, numGPUs int, sinkFor func(node int) sched.Sink) *clockworkController {
-	c := &clockworkController{eng: eng, profile: profile, dropSink: sinkFor(-1)}
-	for i := 0; i < numGPUs; i++ {
-		dev := gpusim.New(eng, profile)
+// newClockworkController runs the controller on devices, which share one
+// engine; GPU i's completions go to sinkFor(i).
+func newClockworkController(devices []*gpusim.Device, specs *dnn.Specs, sinkFor func(node int) sched.Sink) *clockworkController {
+	c := &clockworkController{eng: devices[0].Engine(), profile: devices[0].Profile(), dropSink: sinkFor(-1)}
+	for i, dev := range devices {
 		c.gpus = append(c.gpus, &clockworkGPU{exec: executor.New(dev, 0.02, specs), sink: sinkFor(i)})
 	}
 	return c

@@ -17,7 +17,6 @@ import (
 	"fmt"
 
 	"abacus/internal/dnn"
-	"abacus/internal/executor"
 	"abacus/internal/gpusim"
 	"abacus/internal/predictor"
 	"abacus/internal/runner"
@@ -51,18 +50,17 @@ func (p Policy) String() string {
 
 // Config describes a cluster run.
 type Config struct {
-	Policy       Policy
-	Nodes        int
-	GPUsPerNode  int
-	Models       []dnn.ModelID // deployed on every GPU
-	QoS          float64       // flat QoS target in ms (paper: 100)
-	Arrivals     []trace.Arrival
-	Profile      gpusim.Profile
-	Sched        sched.Config
-	Model        predictor.LatencyModel // Abacus duration model; nil → Oracle
-	BucketMS     float64                // timeline bucket (default 60 000 = 1 minute)
-	DrainMS      float64                // grace period after the last arrival
-	ReservedSwap bool                   // charge Clockwork's model swap (default behaviour; exposed for ablation)
+	Policy      Policy
+	Nodes       int
+	GPUsPerNode int
+	Models      []dnn.ModelID // deployed on every GPU
+	QoS         float64       // flat QoS target in ms (paper: 100)
+	Arrivals    []trace.Arrival
+	Profile     gpusim.Profile
+	Sched       sched.Config
+	Model       predictor.LatencyModel // Abacus duration model; nil → Oracle
+	BucketMS    float64                // timeline bucket (default 60 000 = 1 minute)
+	DrainMS     float64                // grace period after the last arrival
 }
 
 // TimelinePoint is one bucket of the Figure 22 timeline.
@@ -137,97 +135,52 @@ func Run(cfg Config) Result {
 	}
 
 	eng := sim.NewEngine()
-	numGPUs := cfg.Nodes * cfg.GPUsPerNode
-
+	devices := make([]*gpusim.Device, cfg.Nodes*cfg.GPUsPerNode)
+	for i := range devices {
+		devices[i] = gpusim.New(eng, profile)
+	}
 	services := make([]*sched.Service, len(cfg.Models))
 	for i, id := range cfg.Models {
 		services[i] = &sched.Service{ID: i, Model: id, QoS: cfg.QoS}
 	}
-
-	var records []serving.Record
-	sinkFor := func(node int) sched.Sink {
-		return func(q *sched.Query) {
-			rec := serving.Record{
-				Service:  q.Service.ID,
-				Model:    q.Service.Model,
-				Input:    q.Input,
-				Arrival:  q.Arrival,
-				Finish:   q.Finish,
-				Dropped:  q.Dropped,
-				Violated: q.Violated(),
-				QoS:      q.Service.QoS,
-				Node:     node,
-			}
-			if !q.Dropped {
-				rec.Latency = q.Latency()
-			}
-			records = append(records, rec)
-		}
-	}
-
-	var devices []*gpusim.Device
-	var route func(q *sched.Query)
-	specs := dnn.NewSpecs(profile)
-	switch cfg.Policy {
-	case KubeAbacus:
-		schedulers := make([]sched.Scheduler, numGPUs)
-		for i := range schedulers {
-			dev := gpusim.New(eng, profile)
-			devices = append(devices, dev)
-			exec := executor.New(dev, 0.02, specs)
-			model := cfg.Model
-			if model == nil {
-				model = predictor.Oracle{Profile: profile, Specs: specs}
-			}
-			schedCfg := cfg.Sched
-			if schedCfg == (sched.Config{}) {
-				schedCfg = sched.DefaultConfig()
-			}
-			schedulers[i] = sched.NewAbacus(eng, exec, model, schedCfg, sinkFor(i))
-		}
-		// Kubernetes-style routing: least outstanding work, ties by index.
-		// Every GPU runs on one engine, so the online gateway's clock
-		// tie-break would reduce to this index order.
-		route = func(q *sched.Query) {
-			best := Pick(numGPUs, func(i int) float64 {
-				return float64(schedulers[i].QueueLen())
-			})
-			schedulers[best].Enqueue(q)
-		}
-	case Clockwork:
-		ctrl := newClockworkController(eng, profile, specs, numGPUs, sinkFor)
-		for _, g := range ctrl.gpus {
-			devices = append(devices, g.exec.Device())
-		}
-		route = ctrl.submit
-	default:
-		panic(fmt.Sprintf("cluster: unknown policy %d", cfg.Policy))
-	}
-
-	var lastArrival float64
-	offered := map[int]int{}
-	routeAt := make([]sim.Time, len(cfg.Arrivals))
-	for i, a := range cfg.Arrivals {
-		if a.Service < 0 || a.Service >= len(services) {
-			panic("cluster: arrival service out of range")
-		}
-		routeAt[i] = a.Time + dnn.TransferTime(dnn.Get(services[a.Service].Model), a.Input, profile)
-		if a.Time > lastArrival {
-			lastArrival = a.Time
-		}
-		offered[int(a.Time/bucket)]++
-	}
-	eng.ScheduleBatch(routeAt, func(i int) {
-		a := cfg.Arrivals[i]
-		route(&sched.Query{ID: int64(i + 1), Service: services[a.Service], Input: a.Input, Arrival: a.Time})
-	})
-
 	drain := cfg.DrainMS
 	if drain <= 0 {
 		drain = 10 * cfg.QoS
 	}
-	eng.RunUntil(lastArrival + drain)
 
+	var records []serving.Record
+	switch cfg.Policy {
+	case KubeAbacus:
+		// Kubernetes-style routing, least outstanding work with ties by
+		// index, is serving.Run's rule for a service every GPU hosts.
+		records = serving.Run(serving.RunConfig{
+			Policy:   serving.PolicyAbacus,
+			Models:   cfg.Models,
+			Arrivals: cfg.Arrivals,
+			Services: services,
+			Devices:  devices,
+			Model:    cfg.Model,
+			Sched:    cfg.Sched,
+			DrainMS:  drain,
+		}).Records
+	case Clockwork:
+		ctrl := newClockworkController(devices, dnn.NewSpecs(profile), func(node int) sched.Sink {
+			return func(q *sched.Query) { records = append(records, serving.NewRecord(q, node)) }
+		})
+		routeAt, lastArrival := serving.EnqueueTimes(cfg.Arrivals, services, profile)
+		eng.ScheduleBatch(routeAt, func(i int) {
+			a := cfg.Arrivals[i]
+			ctrl.submit(&sched.Query{ID: int64(i + 1), Service: services[a.Service], Input: a.Input, Arrival: a.Time})
+		})
+		eng.RunUntil(lastArrival + drain)
+	default:
+		panic(fmt.Sprintf("cluster: unknown policy %d", cfg.Policy))
+	}
+
+	offered := map[int]int{}
+	for _, a := range cfg.Arrivals {
+		offered[int(a.Time/bucket)]++
+	}
 	res := summarize(cfg.Policy, records, offered, bucket)
 	em := gpusim.A100Energy()
 	for _, dev := range devices {

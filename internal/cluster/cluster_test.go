@@ -182,7 +182,8 @@ func TestWriteTimelineCSV(t *testing.T) {
 func TestClockworkPrefersLoadedModel(t *testing.T) {
 	eng := sim.NewEngine()
 	var emitted []*sched.Query
-	ctrl := newClockworkController(eng, gpusim.A100Profile(), nil, 2, func(node int) sched.Sink {
+	devices := []*gpusim.Device{gpusim.New(eng, gpusim.A100Profile()), gpusim.New(eng, gpusim.A100Profile())}
+	ctrl := newClockworkController(devices, nil, func(node int) sched.Sink {
 		return func(q *sched.Query) { emitted = append(emitted, q) }
 	})
 	svcA := &sched.Service{ID: 0, Model: dnn.ResNet50, QoS: 1000}
@@ -222,7 +223,7 @@ func TestClockworkPrefersLoadedModel(t *testing.T) {
 func TestClockworkDropsUnmeetableDeadline(t *testing.T) {
 	eng := sim.NewEngine()
 	var emitted []*sched.Query
-	ctrl := newClockworkController(eng, gpusim.A100Profile(), nil, 1, func(node int) sched.Sink {
+	ctrl := newClockworkController([]*gpusim.Device{gpusim.New(eng, gpusim.A100Profile())}, nil, func(node int) sched.Sink {
 		return func(q *sched.Query) { emitted = append(emitted, q) }
 	})
 	// QoS far below even the solo execution time → admission control drops.

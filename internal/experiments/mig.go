@@ -1,14 +1,9 @@
 package experiments
 
 import (
-	"fmt"
-
 	"abacus/internal/dnn"
-	"abacus/internal/executor"
 	"abacus/internal/gpusim"
-	"abacus/internal/predictor"
 	"abacus/internal/runner"
-	"abacus/internal/sched"
 	"abacus/internal/serving"
 	"abacus/internal/sim"
 	"abacus/internal/trace"
@@ -110,91 +105,28 @@ func migTable(opts Options, id, title string, qps float64,
 	return t
 }
 
-// runMIG executes one MIG configuration: each instance gets its own
-// partitioned device and scheduler; arrivals route statically by service.
-// Abacus instances use a latency model matched to their instance capacity
-// (a full-device model would systematically under-predict and overpack).
+// runMIG executes one MIG configuration: each instance is a partition of one
+// device serving its group of services, and QoS derives from the full device
+// (fixed service targets, regardless of slicing). Abacus instances default to
+// an oracle matched to their instance capacity (a full-device model would
+// systematically under-predict and overpack).
 func runMIG(opts Options, c migCase, policy serving.PolicyKind, qps float64, seed int64) serving.Result {
-
-	p := profile()
-	eng := sim.NewEngine()
-	full := gpusim.New(eng, p)
-
-	// Flatten services and build the service→instance map. QoS derives
-	// from the full device (fixed service targets, regardless of slicing).
+	full := gpusim.New(sim.NewEngine(), profile())
 	var models []dnn.ModelID
-	instanceOf := map[int]int{}
+	devices := make([]*gpusim.Device, len(c.groups))
+	hosts := make([][]int, len(c.groups))
 	for gi, group := range c.groups {
+		devices[gi] = full.Partition(c.smFrac, c.mFrac)
 		for _, id := range group {
-			instanceOf[len(models)] = gi
+			hosts[gi] = append(hosts[gi], len(models))
 			models = append(models, id)
 		}
 	}
-	services := sched.Services(models, 2, p)
-
-	var records []serving.Record
-	sink := func(q *sched.Query) {
-		rec := serving.Record{
-			Service: q.Service.ID,
-			Model:   q.Service.Model,
-			Input:   q.Input,
-			Arrival: q.Arrival,
-			Finish:  q.Finish,
-			Dropped: q.Dropped,
-			QoS:     q.Service.QoS,
-		}
-		if !q.Dropped {
-			rec.Latency = q.Latency()
-		}
-		rec.Violated = q.Violated()
-		records = append(records, rec)
-	}
-
-	schedulers := make([]sched.Scheduler, len(c.groups))
-	specs := dnn.NewSpecs(full.Profile())
-	for gi := range c.groups {
-		dev := full.Partition(c.smFrac, c.mFrac)
-		exec := executor.New(dev, 0.02, specs)
-		switch policy {
-		case serving.PolicyAbacus:
-			schedulers[gi] = sched.NewAbacus(eng, exec, predictor.ForDevice(dev), sched.DefaultConfig(), sink)
-		case serving.PolicyFCFS:
-			schedulers[gi] = sched.NewSequential(sched.FCFS, eng, exec, sched.DefaultConfig(), sink)
-		case serving.PolicySJF:
-			schedulers[gi] = sched.NewSequential(sched.SJF, eng, exec, sched.DefaultConfig(), sink)
-		case serving.PolicyEDF:
-			schedulers[gi] = sched.NewSequential(sched.EDF, eng, exec, sched.DefaultConfig(), sink)
-		default:
-			panic(fmt.Sprintf("experiments: policy %v", policy))
-		}
-	}
-
-	gen := trace.NewGenerator(models, seed)
-	arrivals := gen.Poisson(qps, opts.DurationMS)
-	enqueueAt, last := transferredTimes(arrivals, services, p)
-	eng.ScheduleBatch(enqueueAt, func(i int) {
-		a := arrivals[i]
-		schedulers[instanceOf[a.Service]].Enqueue(
-			&sched.Query{ID: int64(i + 1), Service: services[a.Service], Input: a.Input, Arrival: a.Time})
+	return serving.Run(serving.RunConfig{
+		Policy:   policy,
+		Models:   models,
+		Arrivals: trace.NewGenerator(models, seed).Poisson(qps, opts.DurationMS),
+		Devices:  devices,
+		Hosts:    hosts,
 	})
-	var maxQoS float64
-	for _, s := range services {
-		if s.QoS > maxQoS {
-			maxQoS = s.QoS
-		}
-	}
-	eng.RunUntil(last + 10*maxQoS)
-
-	var lastEmit sim.Time
-	for _, r := range records {
-		if r.Finish > lastEmit {
-			lastEmit = r.Finish
-		}
-	}
-	return serving.Result{
-		Policy:     policy,
-		Services:   services,
-		Records:    records,
-		DurationMS: lastEmit,
-	}
 }

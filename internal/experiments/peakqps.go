@@ -113,7 +113,7 @@ func Segments(opts Options) []Table {
 			}
 		})
 		arrivals := trace.NewGenerator(models, opts.Seed+int64(i)).Poisson(50, opts.DurationMS)
-		enqueueAt, last := transferredTimes(arrivals, services, p)
+		enqueueAt, last := serving.EnqueueTimes(arrivals, services, p)
 		eng.ScheduleBatch(enqueueAt, func(j int) {
 			a := arrivals[j]
 			ctrl.Enqueue(&sched.Query{ID: int64(j + 1), Service: services[a.Service], Input: a.Input, Arrival: a.Time})

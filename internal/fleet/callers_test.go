@@ -24,8 +24,7 @@ var stackParts = map[string]string{
 // stackPartsAllowed maps "file: pkg.Func" (file relative to the module
 // root) to why that file builds the part itself.
 var stackPartsAllowed = map[string]string{
-	"calib.go: calib.NewCalibrated":  "the public facade wraps a library user's own model",
-	"examples/mig/main.go: core.New": "runs one runtime per MIG slice of a partitioned device, which a node does not model",
+	"calib.go: calib.NewCalibrated": "the public facade wraps a library user's own model",
 }
 
 // TestOneNodeStack scans every non-test Go file of the root module (bench/

@@ -133,6 +133,20 @@ func NewStack(cfg Config) (*Stack, error) {
 	return st, nil
 }
 
+// Resolve feeds a finished or dropped query of node-local service svc back
+// into the node: it releases the admitted work (workMS) from the backlog,
+// then gives the drift detector the margin-free prediction (predMS) against
+// the latency that happened — drops observe too, a drop being divergence at
+// its loudest — then, when calibration is on, gives the tracker the same
+// completion split into solo work and backlog.
+func (st *Stack) Resolve(svc int, predMS, workMS, latencyMS float64) {
+	st.Adm.Finish(svc, workMS)
+	st.Adm.Degrade().Observe(svc, predMS, latencyMS)
+	if st.Tracker != nil {
+		st.Tracker.ObserveAdmission(svc, workMS, predMS-workMS, latencyMS)
+	}
+}
+
 // Node is what the router reads of one node. Services are host-global
 // indices; a host whose nodes each serve a subset maps them in Hosts and
 // Degraded.

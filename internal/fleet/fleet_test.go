@@ -140,6 +140,37 @@ func TestNewStackRefitTouchesOneService(t *testing.T) {
 	}
 }
 
+// TestResolve: a resolved query releases its admitted work and, with
+// calibration on, becomes a tracker sample; without calibration the
+// feedback allocates nothing.
+func TestResolve(t *testing.T) {
+	cfg := Config{Models: []dnn.ModelID{dnn.ResNet50}, QueueCap: 64, Calib: &calib.Config{}}
+	st, err := NewStack(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Adm.Admitted(0, 5)
+	st.Resolve(0, 5, 5, 6)
+	if st.Adm.BacklogMS() != 0 || st.Adm.Outstanding(0) != 0 {
+		t.Errorf("backlog %v ms, %d outstanding after Resolve; want none", st.Adm.BacklogMS(), st.Adm.Outstanding(0))
+	}
+	if n := st.Tracker.Samples(0); n != 1 {
+		t.Errorf("tracker holds %d samples, want 1", n)
+	}
+
+	cfg.Calib = nil
+	if st, err = NewStack(cfg); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		st.Adm.Admitted(0, 5)
+		st.Resolve(0, 5, 5, 6)
+	})
+	if allocs != 0 {
+		t.Errorf("Resolve allocates %v times per query, want 0", allocs)
+	}
+}
+
 // TestNewStackSpecTable: a node runs on the spec table its host passes, so
 // a host's nodes share one; with none a node gets its own, and a table for
 // another device profile is refused.

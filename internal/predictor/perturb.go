@@ -76,9 +76,6 @@ func (p *Perturbed) SetModelBias(id dnn.ModelID, bias float64) {
 	p.modelBias[id] = bias
 }
 
-// Bias returns the current multiplicative bias.
-func (p *Perturbed) Bias() float64 { return p.bias }
-
 // ModelBias returns one model's multiplicative bias (1 when unset).
 func (p *Perturbed) ModelBias(id dnn.ModelID) float64 {
 	if b, ok := p.modelBias[id]; ok {
@@ -86,9 +83,6 @@ func (p *Perturbed) ModelBias(id dnn.ModelID) float64 {
 	}
 	return 1
 }
-
-// Noise returns the current relative noise amplitude.
-func (p *Perturbed) Noise() float64 { return p.noise }
 
 // Healthy reports whether the wrapper currently passes predictions through
 // unmodified.

@@ -71,18 +71,6 @@ func (e *PanicError) Unwrap() error {
 	return nil
 }
 
-// Seeds returns n per-job seeds derived from base: base, base+1, ... —
-// the seed discipline every sweep in the repro already follows. Deriving
-// seeds from the job index (never from shared RNG state) is what keeps
-// parallel runs identical to serial ones.
-func Seeds(base int64, n int) []int64 {
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = base + int64(i)
-	}
-	return out
-}
-
 // Map runs fn(i) for every i in [0, n) on at most parallel workers and
 // returns the results in index order. parallel <= 0 uses DefaultParallel;
 // parallel == 1 runs inline on the calling goroutine. A panicking job

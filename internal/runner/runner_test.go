@@ -142,16 +142,6 @@ func TestPlanPanicUsesJobName(t *testing.T) {
 	p.Run(4)
 }
 
-func TestSeeds(t *testing.T) {
-	got := Seeds(10, 4)
-	if !reflect.DeepEqual(got, []int64{10, 11, 12, 13}) {
-		t.Errorf("Seeds = %v", got)
-	}
-	if len(Seeds(1, 0)) != 0 {
-		t.Error("Seeds(_, 0) not empty")
-	}
-}
-
 func TestDefaultParallelKnob(t *testing.T) {
 	old := DefaultParallel()
 	defer SetDefaultParallel(0)

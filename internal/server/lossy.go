@@ -13,6 +13,8 @@ import (
 	"io"
 	"net/http"
 	"sync/atomic"
+
+	"abacus/internal/rng"
 )
 
 // LossyTransport drops /v1/infer requests with probability p; every other
@@ -80,11 +82,5 @@ func (t *LossyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 // attempt) — the same generator the chaos harness flips, so a drop schedule
 // replays for a given seed and attempt order.
 func lossyCoin(seed, i int64) float64 {
-	x := uint64(seed)*0x9e3779b97f4a7c15 + uint64(i)*0xbf58476d1ce4e5b9
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return float64(x>>11) / (1 << 53)
+	return float64(rng.Keyed(uint64(seed), uint64(i), 0, 0)>>11) / (1 << 53)
 }

@@ -506,16 +506,6 @@ func (s *Server) Drain() {
 	}
 }
 
-// ListenAndServe serves the gateway on addr until Shutdown (or a listener
-// error). It starts the bridges itself.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.ServeListener(ln)
-}
-
 // ServeListener serves the gateway on an existing listener (tests bind
 // loopback port 0 and read the address back). Header and body read
 // timeouts guard against slow-loris clients; response writing — where paced
@@ -595,15 +585,7 @@ func (s *Server) onResult(n *node, q *sched.Query) {
 		n.recent.add(p.id, p)
 	}
 	local := q.Service.ID
-	n.Adm.Finish(local, p.workMS)
-	// Feed the divergence tracker the margin-free prediction against what
-	// actually happened; drops observe too (a drop is divergence at its
-	// loudest). The calibration tracker sees the same completion split into
-	// solo work and backlog, and keeps only near-uncontended samples.
-	n.Adm.Degrade().Observe(local, p.predMS, q.Latency())
-	if n.Tracker != nil {
-		n.Tracker.ObserveAdmission(local, p.workMS, p.predMS-p.workMS, q.Latency())
-	}
+	n.Resolve(local, p.predMS, p.workMS, q.Latency())
 	n.publish()
 
 	g := n.global[local]

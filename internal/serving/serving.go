@@ -57,7 +57,8 @@ func AllPolicies() []PolicyKind {
 	return []PolicyKind{PolicyFCFS, PolicySJF, PolicyEDF, PolicyAbacus}
 }
 
-// RunConfig describes one single-GPU serving experiment.
+// RunConfig describes one offline serving experiment: services placed on one
+// or more GPUs that share one virtual clock.
 type RunConfig struct {
 	Policy   PolicyKind
 	Models   []dnn.ModelID
@@ -65,13 +66,18 @@ type RunConfig struct {
 	// Services overrides the default QoS derivation (2× max-input solo)
 	// when non-nil — e.g. the small-DNN experiment.
 	Services []*sched.Service
-	// Profile is the device model; zero value selects A100Profile.
+	// Profile is the device model; zero value selects A100Profile. With
+	// Devices set, the devices' profile is used instead.
 	Profile gpusim.Profile
-	// Device, when non-nil, runs on the given (possibly MIG-partitioned)
-	// device instead of a fresh full one. Its engine is used for the run.
-	Device *gpusim.Device
-	// Model is the latency model for Abacus; nil selects the exact Oracle
-	// (tests and quick runs) — pass a trained predictor for fidelity runs.
+	// Devices are the GPUs the run serves on, all on one engine, possibly
+	// MIG partitions of one device. Empty means one fresh device of Profile.
+	Devices []*gpusim.Device
+	// Hosts lists, per device, the service indices it serves. Nil means
+	// every device serves every service.
+	Hosts [][]int
+	// Model is the latency model for Abacus; nil gives each device the exact
+	// oracle matched to its capacity (tests and quick runs) — pass a trained
+	// predictor for fidelity runs.
 	Model predictor.LatencyModel
 	// Sched carries scheduler knobs; zero value means sched.DefaultConfig.
 	Sched sched.Config
@@ -93,10 +99,28 @@ type Record struct {
 	Violated bool
 	Latency  float64 // valid when not dropped
 	QoS      float64
-	// Node is the GPU/node index that served (or dropped) the query.
-	// Single-GPU runs leave it 0; cluster runs tag the routed node, and a
+	// Node is the index of the GPU that served (or dropped) the query. A
 	// controller-level drop that never reached a GPU carries -1.
 	Node int
+}
+
+// NewRecord returns the record of a finished or dropped query on GPU node.
+func NewRecord(q *sched.Query, node int) Record {
+	rec := Record{
+		Service:  q.Service.ID,
+		Model:    q.Service.Model,
+		Input:    q.Input,
+		Arrival:  q.Arrival,
+		Finish:   q.Finish,
+		Dropped:  q.Dropped,
+		Violated: q.Violated(),
+		QoS:      q.Service.QoS,
+		Node:     node,
+	}
+	if !q.Dropped {
+		rec.Latency = q.Latency()
+	}
+	return rec
 }
 
 // Result aggregates a run.
@@ -106,36 +130,68 @@ type Result struct {
 	Records  []Record
 	// DurationMS is the span from time zero to the last emission.
 	DurationMS float64
-	// Utilization is the device's mean SM utilization.
+	// Utilization is the devices' mean SM utilization.
 	Utilization float64
-	// Groups is the number of operator groups executed.
+	// Groups is the number of operator groups executed on all devices.
 	Groups int64
 }
 
-// Run executes the experiment and returns its result.
+// EnqueueTimes returns when each arrival reaches a scheduler — its
+// submission time plus the input transfer (T_comms, Eq. 2) — and the latest
+// submission time. It panics on an arrival whose service is out of range.
+func EnqueueTimes(arrivals []trace.Arrival, services []*sched.Service, p gpusim.Profile) (times []sim.Time, last float64) {
+	times = make([]sim.Time, len(arrivals))
+	for i, a := range arrivals {
+		if a.Service < 0 || a.Service >= len(services) {
+			panic(fmt.Sprintf("serving: arrival service %d out of range", a.Service))
+		}
+		times[i] = a.Time + dnn.TransferTime(dnn.Get(services[a.Service].Model), a.Input, p)
+		last = max(last, a.Time)
+	}
+	return times, last
+}
+
+// Pick returns the index i in [0, n) minimizing load(i), ties toward the
+// smallest index: the rule that routes a service hosted on several GPUs of
+// one engine. n must be positive.
+func Pick(n int, load func(int) float64) int {
+	best := 0
+	bestLoad := load(0)
+	for i := 1; i < n; i++ {
+		if l := load(i); l < bestLoad {
+			best, bestLoad = i, l
+		}
+	}
+	return best
+}
+
+// Run executes the experiment and returns its result. Every device gets its
+// own executor and scheduler; an arrival is routed when its transfer
+// completes (EnqueueTimes), to its service's only host or, of several hosts,
+// to the one with the fewest queued queries, ties to the lowest index.
 func Run(cfg RunConfig) Result {
 	if len(cfg.Models) == 0 {
 		panic("serving: no models")
 	}
-	profile := cfg.Profile
-	if profile.NumSMs == 0 {
-		profile = gpusim.A100Profile()
+	devices := cfg.Devices
+	if len(devices) == 0 {
+		profile := cfg.Profile
+		if profile.NumSMs == 0 {
+			profile = gpusim.A100Profile()
+		}
+		devices = []*gpusim.Device{gpusim.New(sim.NewEngine(), profile)}
 	}
-	var eng *sim.Engine
-	dev := cfg.Device
-	if dev == nil {
-		eng = sim.NewEngine()
-		dev = gpusim.New(eng, profile)
-	} else {
-		eng = dev.Engine()
-		profile = dev.Profile()
+	eng, profile := devices[0].Engine(), devices[0].Profile()
+	for _, dev := range devices {
+		if dev.Engine() != eng {
+			panic("serving: devices on more than one engine")
+		}
 	}
 	syncCost := cfg.SyncCost
 	if syncCost == 0 {
 		syncCost = 0.02
 	}
 	specs := dnn.NewSpecs(profile)
-	exec := executor.New(dev, syncCost, specs)
 
 	services := cfg.Services
 	if services == nil {
@@ -144,71 +200,56 @@ func Run(cfg RunConfig) Result {
 	if len(services) != len(cfg.Models) {
 		panic("serving: services/models length mismatch")
 	}
+	hostsOf := placement(cfg.Hosts, len(devices), len(services))
 
-	var records []Record
-	var lastEmit sim.Time
-	sink := func(q *sched.Query) {
-		rec := Record{
-			Service: q.Service.ID,
-			Model:   q.Service.Model,
-			Input:   q.Input,
-			Arrival: q.Arrival,
-			Finish:  q.Finish,
-			Dropped: q.Dropped,
-			QoS:     q.Service.QoS,
-		}
-		if !q.Dropped {
-			rec.Latency = q.Latency()
-		}
-		rec.Violated = q.Violated()
-		records = append(records, rec)
-		if q.Finish > lastEmit {
-			lastEmit = q.Finish
-		}
-	}
-
-	var scheduler sched.Scheduler
 	schedCfg := cfg.Sched
 	if schedCfg == (sched.Config{}) {
 		schedCfg = sched.DefaultConfig()
 	}
-	switch cfg.Policy {
-	case PolicyFCFS:
-		scheduler = sched.NewSequential(sched.FCFS, eng, exec, schedCfg, sink)
-	case PolicySJF:
-		scheduler = sched.NewSequential(sched.SJF, eng, exec, schedCfg, sink)
-	case PolicyEDF:
-		scheduler = sched.NewSequential(sched.EDF, eng, exec, schedCfg, sink)
-	case PolicyAbacus:
-		model := cfg.Model
-		if model == nil {
-			model = predictor.Oracle{Profile: profile, Specs: specs}
+	records := make([]Record, 0, len(cfg.Arrivals))
+	var lastEmit sim.Time
+	execs := make([]*executor.Executor, len(devices))
+	schedulers := make([]sched.Scheduler, len(devices))
+	for d, dev := range devices {
+		sink := func(q *sched.Query) {
+			records = append(records, NewRecord(q, d))
+			lastEmit = max(lastEmit, q.Finish)
 		}
-		scheduler = sched.NewAbacus(eng, exec, model, schedCfg, sink)
-	case PolicyMPS:
-		scheduler = sched.NewFreeOverlap(eng, dev, sink)
-	case PolicyKernelLevel:
-		scheduler = sched.NewKernelLevel(eng, exec, schedCfg, sink)
-	default:
-		panic(fmt.Sprintf("serving: unknown policy %d", cfg.Policy))
+		exec := executor.New(dev, syncCost, specs)
+		execs[d] = exec
+		switch cfg.Policy {
+		case PolicyFCFS:
+			schedulers[d] = sched.NewSequential(sched.FCFS, eng, exec, schedCfg, sink)
+		case PolicySJF:
+			schedulers[d] = sched.NewSequential(sched.SJF, eng, exec, schedCfg, sink)
+		case PolicyEDF:
+			schedulers[d] = sched.NewSequential(sched.EDF, eng, exec, schedCfg, sink)
+		case PolicyAbacus:
+			model := cfg.Model
+			if model == nil {
+				oracle := predictor.ForDevice(dev)
+				oracle.Specs = specs
+				model = oracle
+			}
+			schedulers[d] = sched.NewAbacus(eng, exec, model, schedCfg, sink)
+		case PolicyMPS:
+			schedulers[d] = sched.NewFreeOverlap(eng, dev, sink)
+		case PolicyKernelLevel:
+			schedulers[d] = sched.NewKernelLevel(eng, exec, schedCfg, sink)
+		default:
+			panic(fmt.Sprintf("serving: unknown policy %d", cfg.Policy))
+		}
 	}
 
-	// Schedule arrivals: the query is submitted at Arrival.Time; its input
-	// transfer (T_comms, Eq. 2) delays when the scheduler sees it.
-	var lastArrival float64
-	enqueueAt := make([]sim.Time, len(cfg.Arrivals))
-	for i, a := range cfg.Arrivals {
-		if a.Service < 0 || a.Service >= len(services) {
-			panic(fmt.Sprintf("serving: arrival service %d out of range", a.Service))
-		}
-		enqueueAt[i] = a.Time + dnn.TransferTime(dnn.Get(services[a.Service].Model), a.Input, profile)
-		if a.Time > lastArrival {
-			lastArrival = a.Time
-		}
-	}
+	enqueueAt, lastArrival := EnqueueTimes(cfg.Arrivals, services, profile)
 	eng.ScheduleBatch(enqueueAt, func(i int) {
 		a := cfg.Arrivals[i]
-		scheduler.Enqueue(&sched.Query{
+		hosts := hostsOf[a.Service]
+		d := hosts[0]
+		if len(hosts) > 1 {
+			d = hosts[Pick(len(hosts), func(j int) float64 { return float64(schedulers[hosts[j]].QueueLen()) })]
+		}
+		schedulers[d].Enqueue(&sched.Query{
 			ID:      int64(i + 1),
 			Service: services[a.Service],
 			Input:   a.Input,
@@ -220,22 +261,53 @@ func Run(cfg RunConfig) Result {
 	if drain <= 0 {
 		var maxQoS float64
 		for _, s := range services {
-			if s.QoS > maxQoS {
-				maxQoS = s.QoS
-			}
+			maxQoS = max(maxQoS, s.QoS)
 		}
 		drain = 10 * maxQoS
 	}
 	eng.RunUntil(lastArrival + drain)
 
-	return Result{
-		Policy:      cfg.Policy,
-		Services:    services,
-		Records:     records,
-		DurationMS:  lastEmit,
-		Utilization: dev.Utilization(),
-		Groups:      exec.Groups(),
+	res := Result{Policy: cfg.Policy, Services: services, Records: records, DurationMS: lastEmit}
+	for d, dev := range devices {
+		res.Utilization += dev.Utilization()
+		res.Groups += execs[d].Groups()
 	}
+	res.Utilization /= float64(len(devices))
+	return res
+}
+
+// placement turns per-device service lists into per-service device lists,
+// in device order; nil hosts puts every service on every device. It panics
+// on a host index out of range and on a service with no host.
+func placement(hosts [][]int, devices, services int) [][]int {
+	out := make([][]int, services)
+	if hosts == nil {
+		all := make([]int, devices)
+		for d := range all {
+			all[d] = d
+		}
+		for s := range out {
+			out[s] = all
+		}
+		return out
+	}
+	if len(hosts) != devices {
+		panic(fmt.Sprintf("serving: %d host lists for %d devices", len(hosts), devices))
+	}
+	for d := 0; d < devices; d++ {
+		for _, s := range hosts[d] {
+			if s < 0 || s >= services {
+				panic(fmt.Sprintf("serving: device %d hosts service %d, out of range", d, s))
+			}
+			out[s] = append(out[s], d)
+		}
+	}
+	for s, hs := range out {
+		if len(hs) == 0 {
+			panic(fmt.Sprintf("serving: service %d has no host", s))
+		}
+	}
+	return out
 }
 
 // Latencies returns the end-to-end latencies of completed (non-dropped)

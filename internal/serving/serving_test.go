@@ -50,7 +50,7 @@ func TestRunEventPoolIndependentOfArrivals(t *testing.T) {
 		Policy:   PolicyAbacus,
 		Models:   models,
 		Arrivals: arrivals,
-		Device:   gpusim.New(eng, gpusim.A100Profile()),
+		Devices:  []*gpusim.Device{gpusim.New(eng, gpusim.A100Profile())},
 	})
 	if len(res.Records) != len(arrivals) {
 		t.Fatalf("emitted %d records for %d arrivals", len(res.Records), len(arrivals))

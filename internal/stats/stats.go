@@ -1,7 +1,6 @@
 // Package stats provides the small statistics toolkit used throughout the
-// Abacus reproduction: percentiles, CDFs, dispersion measures, and the
-// prediction-error metrics from the paper (mean absolute percentage error,
-// Equation 1).
+// Abacus reproduction: percentiles, dispersion measures, and the paper's
+// prediction-error metric (mean absolute percentage error, Equation 1).
 package stats
 
 import (
@@ -65,15 +64,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between closest ranks. It panics if xs is empty or p is out
 // of range. The input is not modified.
@@ -121,33 +111,6 @@ func Percentiles(xs []float64, ps ...float64) []float64 {
 	return out
 }
 
-// CDFPoint is one point of an empirical cumulative distribution function.
-type CDFPoint struct {
-	Value float64 // sample value
-	Frac  float64 // fraction of samples <= Value, in (0, 1]
-}
-
-// CDF returns the empirical CDF of xs as (value, fraction) pairs sorted by
-// value. Duplicate values are collapsed to their highest fraction.
-func CDF(xs []float64) []CDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	n := float64(len(sorted))
-	var out []CDFPoint
-	for i, v := range sorted {
-		f := float64(i+1) / n
-		if len(out) > 0 && out[len(out)-1].Value == v {
-			out[len(out)-1].Frac = f
-			continue
-		}
-		out = append(out, CDFPoint{Value: v, Frac: f})
-	}
-	return out
-}
-
 // MAPE returns the mean absolute percentage error between predictions and
 // ground-truth values (paper Equation 1), expressed as a fraction (0.05 means
 // 5% error). Pairs with a zero true value are skipped. It panics if the
@@ -169,57 +132,4 @@ func MAPE(predicted, actual []float64) float64 {
 		return 0
 	}
 	return s / float64(n)
-}
-
-// MAE returns the mean absolute error between predictions and ground truth.
-func MAE(predicted, actual []float64) float64 {
-	if len(predicted) != len(actual) {
-		panic("stats: MAE length mismatch")
-	}
-	if len(predicted) == 0 {
-		return 0
-	}
-	var s float64
-	for i := range predicted {
-		s += math.Abs(predicted[i] - actual[i])
-	}
-	return s / float64(len(predicted))
-}
-
-// RMSE returns the root mean squared error between predictions and ground
-// truth.
-func RMSE(predicted, actual []float64) float64 {
-	if len(predicted) != len(actual) {
-		panic("stats: RMSE length mismatch")
-	}
-	if len(predicted) == 0 {
-		return 0
-	}
-	var s float64
-	for i := range predicted {
-		d := predicted[i] - actual[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(predicted)))
-}
-
-// Histogram bins xs into n equal-width buckets over [min, max] and returns
-// the bucket counts. Values exactly at max land in the last bucket.
-func Histogram(xs []float64, n int, min, max float64) []int {
-	if n <= 0 || max <= min {
-		panic("stats: invalid histogram parameters")
-	}
-	counts := make([]int, n)
-	width := (max - min) / float64(n)
-	for _, x := range xs {
-		if x < min || x > max {
-			continue
-		}
-		i := int((x - min) / width)
-		if i >= n {
-			i = n - 1
-		}
-		counts[i]++
-	}
-	return counts
 }

@@ -60,9 +60,6 @@ func TestMinMaxSum(t *testing.T) {
 	if got := Max(xs); got != 9 {
 		t.Errorf("Max = %v, want 9", got)
 	}
-	if got := Sum(xs); !almostEqual(got, 13.9, 1e-12) {
-		t.Errorf("Sum = %v, want 13.9", got)
-	}
 }
 
 func TestMinMaxPanicOnEmpty(t *testing.T) {
@@ -176,47 +173,6 @@ func TestPercentileProperties(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	got := CDF([]float64{3, 1, 3, 2})
-	want := []CDFPoint{{1, 0.25}, {2, 0.5}, {3, 1.0}}
-	if len(got) != len(want) {
-		t.Fatalf("CDF = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i].Value != want[i].Value || !almostEqual(got[i].Frac, want[i].Frac, 1e-12) {
-			t.Errorf("CDF[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if CDF(nil) != nil {
-		t.Error("CDF(nil) should be nil")
-	}
-}
-
-// Property: CDF values strictly increase, fractions strictly increase to 1.
-func TestCDFProperties(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				xs = append(xs, v)
-			}
-		}
-		pts := CDF(xs)
-		if len(xs) == 0 {
-			return pts == nil
-		}
-		for i := 1; i < len(pts); i++ {
-			if pts[i].Value <= pts[i-1].Value || pts[i].Frac <= pts[i-1].Frac {
-				return false
-			}
-		}
-		return almostEqual(pts[len(pts)-1].Frac, 1, 1e-12)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestMAPE(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -245,41 +201,6 @@ func TestMAPELengthMismatchPanics(t *testing.T) {
 		}
 	}()
 	MAPE([]float64{1}, []float64{1, 2})
-}
-
-func TestMAEAndRMSE(t *testing.T) {
-	pred := []float64{1, 2, 3}
-	act := []float64{2, 2, 5}
-	if got := MAE(pred, act); !almostEqual(got, 1, 1e-12) {
-		t.Errorf("MAE = %v, want 1", got)
-	}
-	if got := RMSE(pred, act); !almostEqual(got, math.Sqrt(5.0/3.0), 1e-12) {
-		t.Errorf("RMSE = %v, want sqrt(5/3)", got)
-	}
-	if MAE(nil, nil) != 0 || RMSE(nil, nil) != 0 {
-		t.Error("empty MAE/RMSE should be 0")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{0, 0.5, 1, 1.5, 2, 5, -1}
-	got := Histogram(xs, 4, 0, 2)
-	// buckets: [0,0.5) [0.5,1) [1,1.5) [1.5,2]; 5 and -1 out of range.
-	want := []int{1, 1, 1, 2}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Histogram[%d] = %d, want %d (full: %v)", i, got[i], want[i], got)
-		}
-	}
-}
-
-func TestHistogramInvalidPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("did not panic")
-		}
-	}()
-	Histogram([]float64{1}, 0, 0, 1)
 }
 
 // Property: Mean is bounded by [Min, Max] and sorting does not change it.

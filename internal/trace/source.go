@@ -15,27 +15,6 @@ type Source interface {
 	Next() (Arrival, bool)
 }
 
-// SliceSource replays a materialized arrival slice as a Source.
-type SliceSource struct {
-	arrivals []Arrival
-	next     int
-}
-
-// NewSliceSource wraps arrivals (not copied) in a Source.
-func NewSliceSource(arrivals []Arrival) *SliceSource {
-	return &SliceSource{arrivals: arrivals}
-}
-
-// Next implements Source.
-func (s *SliceSource) Next() (Arrival, bool) {
-	if s.next >= len(s.arrivals) {
-		return Arrival{}, false
-	}
-	a := s.arrivals[s.next]
-	s.next++
-	return a, true
-}
-
 // Collect drains a Source into a slice; max bounds the result when positive
 // (a guard against unexpectedly unbounded sources).
 func Collect(s Source, max int) []Arrival {
@@ -50,31 +29,6 @@ func Collect(s Source, max int) []Arrival {
 			return out
 		}
 	}
-}
-
-// StreamSource bounds a Generator.Stream-style lazy generator into a Source
-// that ends at durationMS, so open-ended streams compose with Source
-// consumers.
-func StreamSource(next func() Arrival, durationMS float64) Source {
-	return &streamSource{next: next, durMS: durationMS}
-}
-
-type streamSource struct {
-	next  func() Arrival
-	durMS float64
-	done  bool
-}
-
-func (s *streamSource) Next() (Arrival, bool) {
-	if s.done {
-		return Arrival{}, false
-	}
-	a := s.next()
-	if a.Time >= s.durMS {
-		s.done = true
-		return Arrival{}, false
-	}
-	return a, true
 }
 
 // Capture records a live workload — every validated request the gateway

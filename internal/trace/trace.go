@@ -9,6 +9,7 @@ import (
 	"math/rand"
 
 	"abacus/internal/dnn"
+	"abacus/internal/rng"
 )
 
 // Arrival is one generated query arrival.
@@ -93,25 +94,6 @@ func (g *Generator) exp(ratePerMS float64) float64 {
 	return g.rng.ExpFloat64() / ratePerMS
 }
 
-// Stream returns a lazy Poisson arrival source at totalQPS aggregated over
-// all services: each call yields the next arrival, with times growing
-// without bound. The draw order matches Poisson, so for any duration the
-// first arrivals of a Stream with the same seed are identical to the
-// Poisson slice — the online load generator uses this to replay exactly the
-// workload the offline simulator predicts.
-func (g *Generator) Stream(totalQPS float64) func() Arrival {
-	if totalQPS <= 0 {
-		panic("trace: non-positive rate")
-	}
-	ratePerMS := totalQPS / 1000
-	t := 0.0
-	return func() Arrival {
-		t += g.exp(ratePerMS)
-		svc := g.rng.Intn(len(g.models))
-		return Arrival{Time: t, Service: svc, Input: g.randomInput(svc)}
-	}
-}
-
 // MAFConfig shapes the synthetic Azure-Functions-like trace.
 type MAFConfig struct {
 	// BaseQPS is the mean offered load.
@@ -165,7 +147,7 @@ func (g *Generator) MAF(cfg MAFConfig) []Arrival {
 		}
 		phase := 2 * math.Pi * start / cfg.DurationMS
 		rate := cfg.BaseQPS * (1 + cfg.DiurnalAmplitude*math.Sin(phase))
-		mrng := rand.New(rand.NewSource(int64(subStream(cfg.Seed, saltMAFMinute, uint64(minute)))))
+		mrng := rand.New(rand.NewSource(int64(rng.SubSeed(cfg.Seed, saltMAFMinute, uint64(minute)))))
 		if coinAt(cfg.Seed, minute) < cfg.BurstProb {
 			rate *= cfg.BurstFactor
 		}
@@ -190,23 +172,5 @@ const (
 // coinAt is minute m's burst coin: a uniform in [0, 1) from the dedicated
 // burst stream.
 func coinAt(seed int64, minute int) float64 {
-	return float64(subStream(seed, saltMAFBurst, uint64(minute))>>11) / (1 << 53)
-}
-
-// subStream derives an independent stream seed from a root seed and a salt
-// path by splitmix64 finalizer mixing (same construction as
-// workload.SubSeed; duplicated here because workload imports trace).
-func subStream(seed int64, salts ...uint64) uint64 {
-	x := mix64(uint64(seed) ^ 0xabcd_ef01_2345_6789)
-	for _, s := range salts {
-		x = mix64(x ^ (s+0x9e3779b97f4a7c15)*0xbf58476d1ce4e5b9)
-	}
-	return x
-}
-
-// mix64 is the splitmix64 finalizer.
-func mix64(x uint64) uint64 {
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return float64(rng.SubSeed(seed, saltMAFBurst, uint64(minute))>>11) / (1 << 53)
 }

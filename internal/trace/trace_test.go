@@ -242,20 +242,6 @@ func TestReadCSVSortsByTime(t *testing.T) {
 	}
 }
 
-func TestStreamMatchesPoissonPrefix(t *testing.T) {
-	batch := NewGenerator(models(), 42).Poisson(80, 5_000)
-	next := NewGenerator(models(), 42).Stream(80)
-	for i, want := range batch {
-		got := next()
-		if got != want {
-			t.Fatalf("stream arrival %d = %+v, want %+v", i, got, want)
-		}
-	}
-	if a := next(); a.Time < 5_000 {
-		t.Errorf("arrival after the batch prefix at %v, want >= 5000", a.Time)
-	}
-}
-
 // TestMAFBurstKnobOrthogonal pins the stream split: the burst coin draws
 // from its own derived stream, so toggling BurstProb must leave every
 // non-burst minute's arrivals byte-identical.
@@ -315,27 +301,27 @@ func TestMAFPureFunction(t *testing.T) {
 	}
 }
 
-func TestSliceSourceAndCollect(t *testing.T) {
-	arr := NewGenerator(models(), 3).Poisson(50, 2_000)
-	got := Collect(NewSliceSource(arr), 0)
-	if !reflect.DeepEqual(got, arr) {
-		t.Fatal("SliceSource round trip differs")
+// sliceSource replays a materialized arrival slice as a Source.
+type sliceSource []Arrival
+
+func (s *sliceSource) Next() (Arrival, bool) {
+	if len(*s) == 0 {
+		return Arrival{}, false
 	}
-	if got := Collect(NewSliceSource(arr), 5); len(got) != 5 || !reflect.DeepEqual(got, arr[:5]) {
-		t.Fatal("Collect max bound broken")
-	}
+	a := (*s)[0]
+	*s = (*s)[1:]
+	return a, true
 }
 
-func TestStreamSourceBounds(t *testing.T) {
-	g := NewGenerator(models(), 42)
-	src := StreamSource(g.Stream(80), 5_000)
-	got := Collect(src, 0)
-	want := NewGenerator(models(), 42).Poisson(80, 5_000)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("StreamSource-bounded stream differs from Poisson batch")
+func TestSliceSourceAndCollect(t *testing.T) {
+	arr := NewGenerator(models(), 3).Poisson(50, 2_000)
+	src := sliceSource(arr)
+	if got := Collect(&src, 0); !reflect.DeepEqual(got, arr) {
+		t.Fatal("slice source round trip differs")
 	}
-	if _, ok := src.Next(); ok {
-		t.Fatal("source yielded past its duration")
+	src = sliceSource(arr)
+	if got := Collect(&src, 5); len(got) != 5 || !reflect.DeepEqual(got, arr[:5]) {
+		t.Fatal("Collect max bound broken")
 	}
 }
 

@@ -7,7 +7,11 @@
 // carries 8 bytes.
 package workload
 
-import "math"
+import (
+	"math"
+
+	"abacus/internal/rng"
+)
 
 // PRNG is a splitmix64 sequence generator: tiny state, full 64-bit output,
 // and statistically solid for workload synthesis. The zero value is a valid
@@ -22,10 +26,7 @@ func NewPRNG(seed uint64) *PRNG { return &PRNG{state: seed} }
 // next advances the splitmix64 sequence.
 func (r *PRNG) next() uint64 {
 	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return rng.Mix64(r.state)
 }
 
 // Uint64 returns the next raw 64-bit draw.
@@ -107,21 +108,5 @@ func (r *PRNG) LogNormal(mean, sigma float64) float64 {
 	return math.Exp(mu + sigma*r.Norm())
 }
 
-// mix64 is the splitmix64 finalizer over a single word.
-func mix64(x uint64) uint64 {
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// SubSeed derives an independent stream seed from a root seed and a salt
-// path (e.g. service index, cohort index, client index). Derivation is pure
-// mixing, so streams never depend on the order other streams are consumed —
-// the foundation of the engine's determinism contract.
-func SubSeed(seed int64, salts ...uint64) uint64 {
-	x := mix64(uint64(seed) ^ 0xabcd_ef01_2345_6789)
-	for _, s := range salts {
-		x = mix64(x ^ (s+0x9e3779b97f4a7c15)*0xbf58476d1ce4e5b9)
-	}
-	return x
-}
+// SubSeed is rng.SubSeed. The benchmark module imports it by this name.
+func SubSeed(seed int64, salts ...uint64) uint64 { return rng.SubSeed(seed, salts...) }
