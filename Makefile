@@ -1,10 +1,11 @@
-# Developer entry points. `make ci` is the full gate: build, vet, format
-# check, the benchmark module's self-test, the test suite under the race
-# detector (the concurrent sweep harness in internal/runner makes -race
-# load-bearing), and a short budget on every fuzz target. CI layers the
-# targets into lanes: the fast PR lane runs build+vet+fmt-check+bench-check+
-# short tests, the full lane runs `make ci`, and separate lanes run lint
-# (staticcheck) and the benchmarks + chaos scenarios.
+# Developer entry points. `make ci` is the full gate: build, vet (both
+# modules), format and go.mod tidiness checks, the benchmark module's
+# self-test, the test suite under the race detector (the concurrent sweep
+# harness in internal/runner makes -race load-bearing), and a short budget
+# on every fuzz target. CI layers the targets into lanes: the fast PR lane
+# runs build+vet+fmt-check+tidy-check+bench-check+short tests, the full lane
+# runs `make ci`, and separate lanes run lint (staticcheck) and the
+# benchmarks + chaos scenarios.
 
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1
@@ -16,8 +17,11 @@ all: build
 build:
 	$(GO) build ./...
 
+# bench/ is a nested module that `./...` does not reach, so it is vetted on
+# its own.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet .
 
 # On failure, prints the actual diff so a CI log is enough to fix the
 # formatting without reproducing locally.
@@ -115,4 +119,4 @@ examples:
 	$(GO) run ./examples/mig
 	$(GO) run ./examples/cluster
 
-ci: build vet fmt-check bench-check test-race fuzz workload examples
+ci: build vet fmt-check tidy-check bench-check test-race fuzz workload examples

@@ -45,10 +45,11 @@ type DegradeConfig struct {
 	// admission margin (default 1.15), buying slack for divergence still
 	// growing.
 	MarginHeadroom float64
-	// MaxMargin caps the admission margin (default 8) so a pathological
-	// divergence cannot shed everything forever.
-	MaxMargin float64
 }
+
+// maxMargin caps the admission margin so a pathological divergence cannot
+// shed everything forever.
+const maxMargin = 8
 
 func (c DegradeConfig) withDefaults() DegradeConfig {
 	if c.Alpha == 0 {
@@ -66,9 +67,6 @@ func (c DegradeConfig) withDefaults() DegradeConfig {
 	if c.MarginHeadroom == 0 {
 		c.MarginHeadroom = 1.15
 	}
-	if c.MaxMargin == 0 {
-		c.MaxMargin = 8
-	}
 	return c
 }
 
@@ -84,8 +82,6 @@ func (c DegradeConfig) validate() error {
 		return fmt.Errorf("admit: degrade min samples %d must be >= 1", c.MinSamples)
 	case c.MarginHeadroom < 1:
 		return fmt.Errorf("admit: degrade margin headroom %v must be >= 1", c.MarginHeadroom)
-	case c.MaxMargin < 1:
-		return fmt.Errorf("admit: degrade max margin %v must be >= 1", c.MaxMargin)
 	}
 	return nil
 }
@@ -164,8 +160,8 @@ func (d *Degrade) Margin(service int) float64 {
 		return 1
 	}
 	m := s.ewma * d.cfg.MarginHeadroom
-	if m > d.cfg.MaxMargin {
-		m = d.cfg.MaxMargin
+	if m > maxMargin {
+		m = maxMargin
 	}
 	if m < 1 {
 		m = 1

@@ -6,7 +6,7 @@
 //   - a per-node capacity estimate obtained by saturating one simulated
 //     node under that plan, and
 //   - a load forecaster (exponentially weighted moving average with a
-//     configurable safety headroom) that converts offered load into a node
+//     safety headroom) that converts offered load into a node
 //     count, recommending scale-out/in decisions with hysteresis.
 package autoscale
 
@@ -30,19 +30,11 @@ type Plan struct {
 	CapacityQPS float64
 }
 
-// GroupServices returns the §7.8 overlap-gain co-location grouping without
-// the capacity simulation — the affinity seed for the online gateway's
-// default node placement, where sizing is the router's problem and only the
-// grouping matters.
-func GroupServices(models []dnn.ModelID, groupSize int, p gpusim.Profile) [][]dnn.ModelID {
-	return predictor.PartitionServices(models, groupSize, 16, p)
-}
-
 // BuildPlan partitions the services into co-location groups of size
 // groupSize and estimates the node's aggregate goodput capacity (one GPU
 // per group) by saturating each group's GPU in simulation.
 func BuildPlan(models []dnn.ModelID, groupSize int, p gpusim.Profile, seed int64) Plan {
-	groups := GroupServices(models, groupSize, p)
+	groups := predictor.PartitionServices(models, groupSize, 16, p)
 	var capacity float64
 	for _, group := range groups {
 		capacity += estimateGroupCapacity(group, p, seed)
@@ -89,28 +81,30 @@ func (d Decision) String() string {
 	}
 }
 
+// The planner's sizing constants.
+const (
+	// headroom is the target utilization ceiling: keep 30% slack for
+	// bursts, since QoS targets are tight.
+	headroom = 0.7
+	// forecastAlpha is the EWMA smoothing factor for the load forecast.
+	forecastAlpha = 0.3
+	// scaleInSlack requires the fleet to be this much oversized before
+	// shrinking, providing hysteresis against burst-driven oscillation.
+	scaleInSlack = 1.3
+)
+
 // PlannerConfig tunes the controller.
 type PlannerConfig struct {
 	// Plan is the node plan whose capacity bounds each node.
 	Plan Plan
-	// Headroom is the target utilization ceiling (default 0.7: keep 30%
-	// slack for bursts, since QoS targets are tight).
-	Headroom float64
-	// Alpha is the EWMA smoothing factor for the load forecast
-	// (default 0.3).
-	Alpha float64
 	// MinNodes floors the fleet (default 1).
 	MinNodes int
-	// ScaleInSlack requires the fleet to be this much oversized before
-	// shrinking (default 1.3), providing hysteresis against burst-driven
-	// oscillation.
-	ScaleInSlack float64
 	// MaxNodes caps the fleet (0 = unbounded). Scale-out beyond the cap is
 	// clamped and recorded as a held decision so operators can see the
 	// planner wanted more capacity than it was allowed.
 	MaxNodes int
 	// ScaleInCooldown suppresses scale-in for this many observations after
-	// any scale action (0 = none). It layers on top of ScaleInSlack:
+	// any scale action (0 = none). It layers on top of scaleInSlack:
 	// slack guards against shrinking a fleet that is barely oversized,
 	// cooldown guards against shrinking one that only just changed size.
 	// Scale-out is never delayed — under-provisioning costs goodput.
@@ -168,26 +162,8 @@ func NewPlanner(cfg PlannerConfig) (*Planner, error) {
 	if cfg.Plan.CapacityQPS <= 0 {
 		return nil, fmt.Errorf("autoscale: plan capacity %v must be positive", cfg.Plan.CapacityQPS)
 	}
-	if cfg.Headroom == 0 {
-		cfg.Headroom = 0.7
-	}
-	if cfg.Headroom <= 0 || cfg.Headroom > 1 {
-		return nil, fmt.Errorf("autoscale: headroom %v out of (0,1]", cfg.Headroom)
-	}
-	if cfg.Alpha == 0 {
-		cfg.Alpha = 0.3
-	}
-	if cfg.Alpha <= 0 || cfg.Alpha > 1 {
-		return nil, fmt.Errorf("autoscale: alpha %v out of (0,1]", cfg.Alpha)
-	}
 	if cfg.MinNodes <= 0 {
 		cfg.MinNodes = 1
-	}
-	if cfg.ScaleInSlack == 0 {
-		cfg.ScaleInSlack = 1.3
-	}
-	if cfg.ScaleInSlack < 1 {
-		return nil, fmt.Errorf("autoscale: scale-in slack %v must be >= 1", cfg.ScaleInSlack)
 	}
 	if cfg.MaxNodes < 0 {
 		return nil, fmt.Errorf("autoscale: max nodes %d must be >= 0", cfg.MaxNodes)
@@ -226,7 +202,7 @@ func (p *Planner) Observe(offeredQPS float64) (Decision, int) {
 		p.forecast = offeredQPS
 		p.primed = true
 	} else {
-		p.forecast = p.cfg.Alpha*offeredQPS + (1-p.cfg.Alpha)*p.forecast
+		p.forecast = forecastAlpha*offeredQPS + (1-forecastAlpha)*p.forecast
 	}
 	// A cooldown of N set at observation T suppresses scale-in through
 	// observation T+N.
@@ -236,7 +212,7 @@ func (p *Planner) Observe(offeredQPS float64) (Decision, int) {
 	}
 	// Spikes act immediately; the EWMA only smooths the way down.
 	demand := math.Max(p.forecast, offeredQPS)
-	usable := p.cfg.Plan.CapacityQPS * p.cfg.Headroom
+	usable := p.cfg.Plan.CapacityQPS * headroom
 	need := int(math.Ceil(demand / usable))
 	if need < p.cfg.MinNodes {
 		need = p.cfg.MinNodes
@@ -262,7 +238,7 @@ func (p *Planner) Observe(offeredQPS float64) (Decision, int) {
 		p.last.Decision, p.last.Reason = ScaleOut, ReasonScaleOut
 	case need < p.nodes:
 		switch {
-		case float64(p.nodes) <= float64(need)*p.cfg.ScaleInSlack:
+		case float64(p.nodes) <= float64(need)*scaleInSlack:
 			p.counters.HeldHysteresis++
 			p.last.Reason = ReasonHysteresis
 		case inCooldown:

@@ -23,9 +23,8 @@ func TestNewPlannerValidation(t *testing.T) {
 	}{
 		{"defaults", PlannerConfig{Plan: testPlan()}, true},
 		{"no-capacity", PlannerConfig{}, false},
-		{"bad-headroom", PlannerConfig{Plan: testPlan(), Headroom: 1.5}, false},
-		{"bad-alpha", PlannerConfig{Plan: testPlan(), Alpha: -0.1}, false},
-		{"bad-slack", PlannerConfig{Plan: testPlan(), ScaleInSlack: 0.5}, false},
+		{"bad-max-nodes", PlannerConfig{Plan: testPlan(), MaxNodes: -1}, false},
+		{"bad-cooldown", PlannerConfig{Plan: testPlan(), ScaleInCooldown: -1}, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -53,23 +52,23 @@ func TestPlannerScalesOutOnSpike(t *testing.T) {
 }
 
 func TestPlannerScalesInWithHysteresis(t *testing.T) {
-	p, err := NewPlanner(PlannerConfig{Plan: testPlan(), Alpha: 1}) // no smoothing
+	p, err := NewPlanner(PlannerConfig{Plan: testPlan()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Observe(300) // 5 nodes
-	// 260 QPS needs 4 nodes, but 5 <= 4×1.3 ⇒ hold.
-	if d, n := p.Observe(260); d != Hold || n != 5 {
+	// Forecast 0.3·200 + 0.7·300 = 270 needs 4 nodes, but 5 <= 4×1.3 ⇒ hold.
+	if d, n := p.Observe(200); d != Hold || n != 5 {
 		t.Errorf("mild dip: %v, %d; want hold at 5", d, n)
 	}
-	// 130 QPS needs 2 nodes and 5 > 2×1.3 ⇒ shrink.
-	if d, n := p.Observe(130); d != ScaleIn || n != 2 {
-		t.Errorf("deep dip: %v, %d; want scale-in to 2", d, n)
+	// Forecast 0.7·270 = 189 needs 3 nodes and 5 > 3×1.3 ⇒ shrink.
+	if d, n := p.Observe(0); d != ScaleIn || n != 3 {
+		t.Errorf("deep dip: %v, %d; want scale-in to 3", d, n)
 	}
 }
 
 func TestPlannerRespectsMinNodes(t *testing.T) {
-	p, err := NewPlanner(PlannerConfig{Plan: testPlan(), MinNodes: 3, Alpha: 1})
+	p, err := NewPlanner(PlannerConfig{Plan: testPlan(), MinNodes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +78,7 @@ func TestPlannerRespectsMinNodes(t *testing.T) {
 }
 
 func TestPlannerEWMASmoothsDecline(t *testing.T) {
-	p, err := NewPlanner(PlannerConfig{Plan: testPlan(), Alpha: 0.3})
+	p, err := NewPlanner(PlannerConfig{Plan: testPlan()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +91,7 @@ func TestPlannerEWMASmoothsDecline(t *testing.T) {
 }
 
 func TestPlanTimeline(t *testing.T) {
-	p, err := NewPlanner(PlannerConfig{Plan: testPlan(), Alpha: 1})
+	p, err := NewPlanner(PlannerConfig{Plan: testPlan()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +155,7 @@ func TestBuildPlanEndToEnd(t *testing.T) {
 }
 
 func TestPlannerMaxNodesClamp(t *testing.T) {
-	p, err := NewPlanner(PlannerConfig{Plan: testPlan(), MaxNodes: 3, Alpha: 1})
+	p, err := NewPlanner(PlannerConfig{Plan: testPlan(), MaxNodes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +180,12 @@ func TestPlannerMaxNodesClamp(t *testing.T) {
 }
 
 func TestPlannerScaleInCooldown(t *testing.T) {
-	p, err := NewPlanner(PlannerConfig{Plan: testPlan(), Alpha: 1, ScaleInCooldown: 2})
+	p, err := NewPlanner(PlannerConfig{Plan: testPlan(), ScaleInCooldown: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Observe(300) // scale-out to 5, arms cooldown
+	// Forecasts 210 and 147 need 3 nodes: scale-in wanted, cooldown holds.
 	d, _ := p.Observe(0)
 	if d != Hold || p.Last().Reason != ReasonCooldown {
 		t.Fatalf("first post-action drop: %v/%q, want hold/cooldown", d, p.Last().Reason)
@@ -194,9 +194,9 @@ func TestPlannerScaleInCooldown(t *testing.T) {
 	if d != Hold || p.Last().Reason != ReasonCooldown {
 		t.Fatalf("second post-action drop: %v/%q, want hold/cooldown", d, p.Last().Reason)
 	}
-	d, n := p.Observe(0)
-	if d != ScaleIn || n != 1 || p.Last().Reason != ReasonScaleIn {
-		t.Fatalf("after cooldown: %v, %d nodes, %q; want scale-in to 1", d, n, p.Last().Reason)
+	d, n := p.Observe(0) // forecast 102.9 needs 2
+	if d != ScaleIn || n != 2 || p.Last().Reason != ReasonScaleIn {
+		t.Fatalf("after cooldown: %v, %d nodes, %q; want scale-in to 2", d, n, p.Last().Reason)
 	}
 	if c := p.Counters(); c.HeldCooldown != 2 || c.ScaleIns != 1 || c.ScaleOuts != 1 || c.Observations != 4 {
 		t.Errorf("counters %+v", c)
@@ -204,15 +204,15 @@ func TestPlannerScaleInCooldown(t *testing.T) {
 }
 
 func TestPlannerLastDecisionInputs(t *testing.T) {
-	p, err := NewPlanner(PlannerConfig{Plan: testPlan(), Alpha: 0.5})
+	p, err := NewPlanner(PlannerConfig{Plan: testPlan()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Observe(300) // primes forecast at 300 → 5 nodes
-	p.Observe(250) // forecast 275, demand 275 → need 4: within slack, hold
+	p.Observe(200) // forecast 270, demand 270 → need 4: within slack, hold
 	last := p.Last()
-	if last.OfferedQPS != 250 || last.Forecast != 275 || last.DemandQPS != 275 {
-		t.Errorf("last inputs %+v, want offered=250 forecast=275 demand=275", last)
+	if last.OfferedQPS != 200 || math.Abs(last.Forecast-270) > 1e-9 || last.DemandQPS != last.Forecast {
+		t.Errorf("last inputs %+v, want offered=200 forecast=270 demand=forecast", last)
 	}
 	if last.Need != 4 || last.Nodes != 5 || last.Reason != ReasonHysteresis {
 		t.Errorf("last outputs %+v, want need=4 nodes=5 reason=hysteresis", last)

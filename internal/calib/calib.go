@@ -9,13 +9,12 @@
 // Mechanics: every completed query contributes one sample to its service —
 // the prediction admission used and the latency the query actually saw. The
 // Tracker accumulates closed-form least-squares moments over small batches
-// and, every UpdateEvery samples, fits the residual map observed ≈ a·x + b
+// and, every updateEvery samples, fits the residual map observed ≈ a·x + b
 // and composes it (damped) into the service's running correction. Because
 // samples are taken against already-corrected predictions, the fit is a
 // feedback step: once the correction converges the residual map is the
 // identity and the state stops moving. A bounded, seeded reservoir keeps a
-// representative sample window per service for residual quantiles and the
-// optional periodic mini-refit through internal/ml's ridge regression.
+// representative sample window per service for residual quantiles.
 //
 // Everything is single-goroutine state owned by whichever loop drives the
 // runtime (the chaos engine goroutine, the gateway bridge loop), and every
@@ -24,7 +23,6 @@
 package calib
 
 import (
-	"fmt"
 	"math"
 
 	"abacus/internal/dnn"
@@ -32,102 +30,46 @@ import (
 	"abacus/internal/stats"
 )
 
-// Config tunes the online calibration subsystem. The zero value enables
-// calibration with the defaults below; set Disabled to pass predictions
-// through untouched and ignore feedback.
+// Config is what a host chooses about online calibration; everything else
+// is a constant below.
 type Config struct {
-	// Disabled pins every correction at the identity and drops observations.
-	Disabled bool `json:"disabled,omitempty"`
 	// Seed drives the per-service reservoir eviction coins.
 	Seed int64 `json:"seed,omitempty"`
-	// ReservoirSize bounds the per-service feedback sample window kept for
-	// residual quantiles and mini-refits (default 256).
-	ReservoirSize int `json:"reservoir_size,omitempty"`
-	// MinSamples is how many feedback samples a service must contribute
-	// before its correction leaves the identity (default 16).
-	MinSamples int `json:"min_samples,omitempty"`
-	// UpdateEvery is the closed-form refit cadence: every this many samples
-	// per service, the batch residual map is fit and folded in (default 8).
-	UpdateEvery int `json:"update_every,omitempty"`
-	// Damping is the fraction of the fitted residual map folded into the
-	// running correction per update, in (0, 1] (default 0.5). Lower damping
-	// rides out noise; 1 jumps straight to the fit.
-	Damping float64 `json:"damping,omitempty"`
-	// MinSlope/MaxSlope clamp the total correction slope (defaults 0.2, 5),
-	// bounding how far feedback may bend the model.
-	MinSlope float64 `json:"min_slope,omitempty"`
-	MaxSlope float64 `json:"max_slope,omitempty"`
-	// MaxInterceptMS clamps the correction intercept's magnitude in virtual
-	// ms (default 50).
-	MaxInterceptMS float64 `json:"max_intercept_ms,omitempty"`
-	// RefitEvery, when positive, additionally refits the residual map over
-	// the whole reservoir every this many samples per service using
-	// internal/ml's ridge regression (a mini-refit; 0 disables).
-	RefitEvery int `json:"refit_every,omitempty"`
-	// MaxBacklogFrac gates ObserveAdmission: a completion only becomes a
-	// feedback sample when the backlog ahead of it at admission was at most
-	// this fraction of its own predicted work (default 0.1). Uncontended
-	// samples isolate model error from queueing and overlap slack — a
-	// contended completion reflects the whole backlog's fate, not the
-	// model's accuracy on this query.
-	MaxBacklogFrac float64 `json:"max_backlog_frac,omitempty"`
 	// OnUpdate, when non-nil, runs after a service's correction changes —
 	// the admitter invalidates its memoized solo predictions here. It runs
 	// on the goroutine that called Observe.
 	OnUpdate func(service int) `json:"-"`
 }
 
-func (c Config) withDefaults() Config {
-	if c.ReservoirSize == 0 {
-		c.ReservoirSize = 256
-	}
-	if c.MinSamples == 0 {
-		c.MinSamples = 16
-	}
-	if c.UpdateEvery == 0 {
-		c.UpdateEvery = 8
-	}
-	if c.Damping == 0 {
-		c.Damping = 0.5
-	}
-	if c.MinSlope == 0 {
-		c.MinSlope = 0.2
-	}
-	if c.MaxSlope == 0 {
-		c.MaxSlope = 5
-	}
-	if c.MaxInterceptMS == 0 {
-		c.MaxInterceptMS = 50
-	}
-	if c.MaxBacklogFrac == 0 {
-		c.MaxBacklogFrac = 0.1
-	}
-	return c
-}
-
-func (c Config) validate() error {
-	switch {
-	case c.ReservoirSize < 2:
-		return fmt.Errorf("calib: reservoir size %d must be >= 2", c.ReservoirSize)
-	case c.MinSamples < 1:
-		return fmt.Errorf("calib: min samples %d must be >= 1", c.MinSamples)
-	case c.UpdateEvery < 1:
-		return fmt.Errorf("calib: update cadence %d must be >= 1", c.UpdateEvery)
-	case c.Damping <= 0 || c.Damping > 1:
-		return fmt.Errorf("calib: damping %v outside (0, 1]", c.Damping)
-	case c.MinSlope <= 0 || c.MinSlope > 1:
-		return fmt.Errorf("calib: min slope %v outside (0, 1]", c.MinSlope)
-	case c.MaxSlope < 1:
-		return fmt.Errorf("calib: max slope %v must be >= 1", c.MaxSlope)
-	case c.MaxInterceptMS < 0:
-		return fmt.Errorf("calib: max intercept %v must be >= 0 ms", c.MaxInterceptMS)
-	case c.RefitEvery < 0:
-		return fmt.Errorf("calib: refit cadence %d must be >= 0", c.RefitEvery)
-	case c.MaxBacklogFrac < 0:
-		return fmt.Errorf("calib: max backlog fraction %v must be >= 0", c.MaxBacklogFrac)
-	}
-	return nil
-}
+const (
+	// reservoirSize bounds the per-service feedback sample window kept for
+	// residual quantiles.
+	reservoirSize = 256
+	// minSamples is how many feedback samples a service must contribute
+	// before its correction leaves the identity.
+	minSamples = 16
+	// updateEvery is the closed-form refit cadence: every this many samples
+	// per service, the batch residual map is fit and folded in.
+	updateEvery = 8
+	// damping is the fraction of the fitted residual map folded into the
+	// running correction per update: it rides out noise where 1 would jump
+	// straight to the fit.
+	damping = 0.5
+	// minSlope and maxSlope clamp the total correction slope, bounding how
+	// far feedback may bend the model.
+	minSlope = 0.2
+	maxSlope = 5
+	// maxInterceptMS clamps the correction intercept's magnitude in virtual
+	// ms.
+	maxInterceptMS = 50
+	// maxBacklogFrac gates ObserveAdmission: a completion only becomes a
+	// feedback sample when the backlog ahead of it at admission was at most
+	// this fraction of its own predicted work. Uncontended samples isolate
+	// model error from queueing and overlap slack — a contended completion
+	// reflects the whole backlog's fate, not the model's accuracy on this
+	// query.
+	maxBacklogFrac = 0.1
+)
 
 // svcState is one service's calibration state.
 type svcState struct {
@@ -140,7 +82,6 @@ type svcState struct {
 	sx, sy, sxx, sxy float64
 	samples          int64 // lifetime feedback samples
 	updates          int64 // closed-form corrections applied
-	refits           int64 // reservoir mini-refits applied
 	res              *reservoir
 }
 
@@ -155,12 +96,8 @@ type Tracker struct {
 }
 
 // NewTracker builds a tracker over the deployment (one correction per
-// service, keyed by model). It panics on an invalid configuration.
+// service, keyed by model). It panics on an empty deployment.
 func NewTracker(cfg Config, models []dnn.ModelID) *Tracker {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		panic(err)
-	}
 	if len(models) == 0 {
 		panic("calib: no models")
 	}
@@ -173,20 +110,17 @@ func NewTracker(cfg Config, models []dnn.ModelID) *Tracker {
 		t.byModel[m] = i
 		t.svcs = append(t.svcs, &svcState{
 			slope: 1,
-			res:   newReservoir(cfg.ReservoirSize, uint64(cfg.Seed), uint64(i)),
+			res:   newReservoir(reservoirSize, uint64(cfg.Seed), uint64(i)),
 		})
 	}
 	return t
 }
 
-// Enabled reports whether the tracker acts on feedback.
-func (t *Tracker) Enabled() bool { return !t.cfg.Disabled }
-
 // Observe feeds one completed query's feedback pair: the (corrected)
 // completion latency admission predicted and the latency the query actually
 // saw. Non-positive predictions and negative observations are ignored.
 func (t *Tracker) Observe(service int, predictedMS, observedMS float64) {
-	if t.cfg.Disabled || predictedMS <= 0 || observedMS < 0 ||
+	if predictedMS <= 0 || observedMS < 0 ||
 		math.IsNaN(observedMS) || math.IsInf(observedMS, 0) {
 		return
 	}
@@ -199,17 +133,11 @@ func (t *Tracker) Observe(service int, predictedMS, observedMS float64) {
 	s.sxy += predictedMS * observedMS
 	s.res.add(predictedMS, observedMS)
 
-	if s.n >= t.cfg.UpdateEvery && s.samples >= int64(t.cfg.MinSamples) {
+	if s.n >= updateEvery && s.samples >= minSamples {
 		a, b, ok := batchFit(s)
 		s.n, s.sx, s.sy, s.sxx, s.sxy = 0, 0, 0, 0, 0
 		if ok && t.compose(service, a, b) {
 			s.updates++
-			t.noteUpdate(service)
-		}
-	}
-	if t.cfg.RefitEvery > 0 && s.samples%int64(t.cfg.RefitEvery) == 0 {
-		if t.refit(service) {
-			s.refits++
 			t.noteUpdate(service)
 		}
 	}
@@ -219,12 +147,12 @@ func (t *Tracker) Observe(service int, predictedMS, observedMS float64) {
 // the (corrected) prediction for the query's own work, backlogMS the
 // predicted work already queued ahead of it at admission, and observedMS
 // the completion latency it actually saw. Only uncontended completions —
-// backlog at most MaxBacklogFrac of the query's own work — become samples:
+// backlog at most maxBacklogFrac of the query's own work — become samples:
 // a query that waited behind a deep backlog tells us about the backlog, not
 // about the model's accuracy on this query, and fitting those pairs would
 // fold queueing and overlap slack into the correction.
 func (t *Tracker) ObserveAdmission(service int, soloMS, backlogMS, observedMS float64) {
-	if soloMS <= 0 || backlogMS > t.cfg.MaxBacklogFrac*soloMS {
+	if soloMS <= 0 || backlogMS > maxBacklogFrac*soloMS {
 		return
 	}
 	t.Observe(service, soloMS, observedMS)
@@ -262,10 +190,10 @@ func (t *Tracker) compose(service int, a, b float64) bool {
 	slope := a * s.slope
 	intercept := a*s.intercept + b
 	// Damped step from the old state toward the ideal.
-	slope = s.slope + t.cfg.Damping*(slope-s.slope)
-	intercept = s.intercept + t.cfg.Damping*(intercept-s.intercept)
-	slope = math.Min(math.Max(slope, t.cfg.MinSlope), t.cfg.MaxSlope)
-	intercept = math.Min(math.Max(intercept, -t.cfg.MaxInterceptMS), t.cfg.MaxInterceptMS)
+	slope = s.slope + damping*(slope-s.slope)
+	intercept = s.intercept + damping*(intercept-s.intercept)
+	slope = math.Min(math.Max(slope, minSlope), maxSlope)
+	intercept = math.Min(math.Max(intercept, -maxInterceptMS), maxInterceptMS)
 	if slope == s.slope && intercept == s.intercept {
 		return false
 	}
@@ -280,16 +208,16 @@ func (t *Tracker) noteUpdate(service int) {
 }
 
 // Correct applies one service's running correction to a raw prediction.
-// Before MinSamples of feedback the correction is the identity. The result
+// Before minSamples of feedback the correction is the identity. The result
 // is floored at a small fraction of the input so a negative intercept can
 // never drive a prediction to zero or below.
 func (t *Tracker) Correct(service int, v float64) float64 {
 	s := t.svcs[service]
-	if t.cfg.Disabled || s.samples < int64(t.cfg.MinSamples) || v <= 0 {
+	if s.samples < minSamples || v <= 0 {
 		return v
 	}
 	out := s.slope*v + s.intercept
-	if floor := t.cfg.MinSlope * v; out < floor {
+	if floor := minSlope * v; out < floor {
 		out = floor
 	}
 	return out
@@ -302,7 +230,7 @@ func (t *Tracker) Correct(service int, v float64) float64 {
 // the scheduler's co-run groups). Models outside the deployment contribute
 // the identity.
 func (t *Tracker) CorrectGroup(g predictor.Group, v float64) float64 {
-	if t.cfg.Disabled || len(g) == 0 || v <= 0 {
+	if len(g) == 0 || v <= 0 {
 		return v
 	}
 	sum := 0.0
@@ -334,7 +262,6 @@ type ServiceStatus struct {
 	Intercept float64 `json:"intercept_ms"`
 	Samples   int64   `json:"samples"`
 	Updates   int64   `json:"updates"`
-	Refits    int64   `json:"refits"`
 	Reservoir int     `json:"reservoir"`
 	// ResidualP50MS/ResidualP99MS are quantiles of the signed residual
 	// (observed − corrected prediction) over the reservoir window; zero when
@@ -343,7 +270,8 @@ type ServiceStatus struct {
 	ResidualP99MS float64 `json:"residual_p99_ms"`
 }
 
-// Status is the tracker's point-in-time snapshot.
+// Status is the tracker's point-in-time snapshot. Enabled is always true:
+// a tracker exists only while calibration is on.
 type Status struct {
 	Enabled  bool            `json:"enabled"`
 	Services []ServiceStatus `json:"services"`
@@ -351,7 +279,7 @@ type Status struct {
 
 // Snapshot returns the tracker's current state in service order.
 func (t *Tracker) Snapshot() Status {
-	st := Status{Enabled: !t.cfg.Disabled}
+	st := Status{Enabled: true}
 	for i, s := range t.svcs {
 		e := ServiceStatus{
 			Service:   i,
@@ -360,7 +288,6 @@ func (t *Tracker) Snapshot() Status {
 			Intercept: s.intercept,
 			Samples:   s.samples,
 			Updates:   s.updates,
-			Refits:    s.refits,
 			Reservoir: s.res.len(),
 		}
 		if resid := s.res.residuals(); len(resid) > 0 {

@@ -17,41 +17,32 @@ import (
 	"abacus/internal/workload"
 )
 
-// RetryConfig shapes the scenario's virtual retrying client. Unlike the
+// RetryConfig, present on a Scenario, gives the virtual client its retry
+// behaviour; the schedule is the retry constants below. Unlike the
 // wall-clock server.RetryPolicy, everything here is virtual ms on the
 // simulation clock, so retry schedules replay exactly.
-type RetryConfig struct {
-	// MaxAttempts bounds total tries, first included (default 3).
-	MaxAttempts int `json:"max_attempts"`
-	// BaseBackoffMS seeds the exponential schedule (default 10 virtual ms).
-	BaseBackoffMS float64 `json:"base_backoff_ms"`
-	// Multiplier grows the backoff between attempts (default 2).
-	Multiplier float64 `json:"multiplier"`
-	// MaxBackoffMS caps a single backoff (default 200).
-	MaxBackoffMS float64 `json:"max_backoff_ms"`
-	// Jitter is the multiplicative half-width of the seeded jitter band
-	// (default 0.2: backoffs scale by [0.8, 1.2)).
-	Jitter float64 `json:"jitter"`
-}
+type RetryConfig struct{}
 
-func (c RetryConfig) withDefaults() RetryConfig {
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.BaseBackoffMS <= 0 {
-		c.BaseBackoffMS = 10
-	}
-	if c.Multiplier < 1 {
-		c.Multiplier = 2
-	}
-	if c.MaxBackoffMS <= 0 {
-		c.MaxBackoffMS = 200
-	}
-	if c.Jitter < 0 || c.Jitter >= 1 {
-		c.Jitter = 0.2
-	}
-	return c
-}
+// The virtual client's retry schedule: exponential backoff without
+// jitter, raised to a rejection's Retry-After hint when that is longer.
+const (
+	// retryAttempts bounds total tries, first included.
+	retryAttempts = 3
+	// retryBaseBackoffMS seeds the exponential schedule, in virtual ms.
+	retryBaseBackoffMS = 10.0
+	// retryMultiplier grows the backoff between attempts.
+	retryMultiplier = 2
+	// retryMaxBackoffMS caps a single backoff.
+	retryMaxBackoffMS = 200.0
+)
+
+// The scenario's serving constants.
+const (
+	// qosFactor scales QoS targets (the paper's setting).
+	qosFactor = 2
+	// queueCap bounds admitted-but-unfinished queries per service.
+	queueCap = 64
+)
 
 // Scenario is one replayable chaos experiment.
 type Scenario struct {
@@ -69,13 +60,9 @@ type Scenario struct {
 	QPS float64
 	// DurationMS is the arrival-window length in virtual ms (default 10000).
 	DurationMS float64
-	// Seed drives arrivals, fault coin flips, predictor noise, and retry
-	// jitter; same seed + same script ⇒ identical report.
+	// Seed drives arrivals, fault coin flips and predictor noise; same
+	// seed + same script ⇒ identical report.
 	Seed int64
-	// QoSFactor scales QoS targets (default 2, the paper's setting).
-	QoSFactor float64
-	// QueueCap bounds admitted-but-unfinished queries per service (default 64).
-	QueueCap int
 	// Script holds the fault windows.
 	Script Script
 	// Degrade tunes the degraded-mode controller (zero value = enabled with
@@ -293,15 +280,15 @@ func (n *hNode) Clock() float64        { return float64(n.RT.Engine().Now()) }
 
 // harness wires one scenario run; everything runs on the engine goroutine.
 type harness struct {
-	sc      Scenario
-	retry   RetryConfig
-	eng     *sim.Engine
-	specs   *dnn.Specs // the run's kernel-spec table, shared by every node
-	nodes   []*hNode
-	probes  []atomic.Int64 // per-service routing decisions (fleet.Route)
-	pending map[*sched.Query]*pend
-	rep     *Report
-	lats    []float64
+	sc          Scenario
+	maxAttempts int // tries per request, first included: 1 unless the scenario retries
+	eng         *sim.Engine
+	specs       *dnn.Specs // the run's kernel-spec table, shared by every node
+	nodes       []*hNode
+	probes      []atomic.Int64 // per-service routing decisions (fleet.Route)
+	pending     map[*sched.Query]*pend
+	rep         *Report
+	lats        []float64
 
 	ctrl        *scaler.Controller // nil for fixed fleets
 	tickQueries int64              // offered arrivals since the last scale tick
@@ -315,8 +302,8 @@ func (h *harness) addNode(id int, now sim.Time, phase scaler.Phase) error {
 	n := &hNode{id: id, phase: phase}
 	st, err := fleet.NewStack(fleet.Config{
 		Models:       sc.Models,
-		QoSFactor:    sc.QoSFactor,
-		QueueCap:     sc.QueueCap,
+		QoSFactor:    qosFactor,
+		QueueCap:     queueCap,
 		Degrade:      sc.Degrade,
 		PredictCache: sc.PredictCache,
 		// Distinct noise streams per node; node 0 keeps the scenario seed
@@ -403,12 +390,6 @@ func Run(sc Scenario) (*Report, error) {
 		}
 		sc.Nodes = min
 	}
-	if sc.QoSFactor == 0 {
-		sc.QoSFactor = 2
-	}
-	if sc.QueueCap <= 0 {
-		sc.QueueCap = 64
-	}
 	if err := sc.Script.Validate(); err != nil {
 		return nil, err
 	}
@@ -419,14 +400,14 @@ func Run(sc Scenario) (*Report, error) {
 	}
 
 	h := &harness{
-		sc:      sc,
-		retry:   RetryConfig{MaxAttempts: 1}, // no retries unless configured
-		pending: make(map[*sched.Query]*pend),
-		rep:     &Report{Name: sc.Name, Seed: sc.Seed, QPS: sc.QPS},
-		ctrl:    ctrl,
+		sc:          sc,
+		maxAttempts: 1,
+		pending:     make(map[*sched.Query]*pend),
+		rep:         &Report{Name: sc.Name, Seed: sc.Seed, QPS: sc.QPS},
+		ctrl:        ctrl,
 	}
 	if sc.Retry != nil {
-		h.retry = sc.Retry.withDefaults()
+		h.maxAttempts = retryAttempts
 	}
 
 	// One clock, N devices: every node's runtime shares the engine, so
@@ -440,9 +421,7 @@ func Run(sc Scenario) (*Report, error) {
 		}
 	}
 	h.probes = make([]atomic.Int64, len(sc.Models))
-	if sc.Calib != nil {
-		h.rep.Calibrated = h.nodes[0].Tracker.Enabled()
-	}
+	h.rep.Calibrated = sc.Calib != nil
 	h.rep.Services = serviceRows(h.nodes[0].RT.Services())
 
 	// Fault windows first, so a window opening at t applies before any
@@ -687,20 +666,17 @@ func (h *harness) attempt(r *request, now sim.Time) {
 // retryOrGiveUp schedules the next attempt if the retry budget (attempts and
 // SLO deadline) allows, else finalizes the request as given up.
 func (h *harness) retryOrGiveUp(r *request, now sim.Time, hintMS float64) {
-	if r.attempts >= h.retry.MaxAttempts {
+	if r.attempts >= h.maxAttempts {
 		h.rep.GaveUp++
 		return
 	}
-	backoff := h.retry.BaseBackoffMS
+	backoff := retryBaseBackoffMS
 	for i := 1; i < r.attempts; i++ {
-		backoff *= h.retry.Multiplier
-		if backoff >= h.retry.MaxBackoffMS {
-			backoff = h.retry.MaxBackoffMS
+		backoff *= retryMultiplier
+		if backoff >= retryMaxBackoffMS {
+			backoff = retryMaxBackoffMS
 			break
 		}
-	}
-	if h.retry.Jitter > 0 {
-		backoff *= 1 + h.retry.Jitter*(2*h.coin(r.idx, r.attempts, 3)-1)
 	}
 	if hintMS > backoff {
 		backoff = hintMS

@@ -48,7 +48,7 @@ func TestRunSpecTableDiesWithRun(t *testing.T) {
 // included, runs on the run's one table.
 func TestNodesShareRunSpecTable(t *testing.T) {
 	h := &harness{
-		sc:    Scenario{Models: []dnn.ModelID{dnn.ResNet152, dnn.InceptionV3}, QueueCap: 64},
+		sc:    Scenario{Models: []dnn.ModelID{dnn.ResNet152, dnn.InceptionV3}},
 		eng:   sim.NewEngine(),
 		specs: fleet.NewSpecs(),
 	}

@@ -40,7 +40,7 @@ type clockworkGPU struct {
 func newClockworkController(devices []*gpusim.Device, specs *dnn.Specs, sinkFor func(node int) sched.Sink) *clockworkController {
 	c := &clockworkController{eng: devices[0].Engine(), profile: devices[0].Profile(), dropSink: sinkFor(-1)}
 	for i, dev := range devices {
-		c.gpus = append(c.gpus, &clockworkGPU{exec: executor.New(dev, 0.02, specs), sink: sinkFor(i)})
+		c.gpus = append(c.gpus, &clockworkGPU{exec: executor.New(dev, executor.SyncCostMS, specs), sink: sinkFor(i)})
 	}
 	return c
 }

@@ -57,11 +57,12 @@ type Config struct {
 	QoS         float64       // flat QoS target in ms (paper: 100)
 	Arrivals    []trace.Arrival
 	Profile     gpusim.Profile
-	Sched       sched.Config
 	Model       predictor.LatencyModel // Abacus duration model; nil → Oracle
 	BucketMS    float64                // timeline bucket (default 60 000 = 1 minute)
-	DrainMS     float64                // grace period after the last arrival
 }
+
+// drainQoS is the grace period after the last arrival, in QoS targets.
+const drainQoS = 10
 
 // TimelinePoint is one bucket of the Figure 22 timeline.
 type TimelinePoint struct {
@@ -143,10 +144,7 @@ func Run(cfg Config) Result {
 	for i, id := range cfg.Models {
 		services[i] = &sched.Service{ID: i, Model: id, QoS: cfg.QoS}
 	}
-	drain := cfg.DrainMS
-	if drain <= 0 {
-		drain = 10 * cfg.QoS
-	}
+	drain := drainQoS * cfg.QoS
 
 	var records []serving.Record
 	switch cfg.Policy {
@@ -160,7 +158,6 @@ func Run(cfg Config) Result {
 			Services: services,
 			Devices:  devices,
 			Model:    cfg.Model,
-			Sched:    cfg.Sched,
 			DrainMS:  drain,
 		}).Records
 	case Clockwork:

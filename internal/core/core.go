@@ -28,10 +28,6 @@ type Config struct {
 	QoSFactor float64
 	// Model is the duration model; nil selects the exact oracle.
 	Model predictor.LatencyModel
-	// Sched carries controller knobs; zero value = sched.DefaultConfig.
-	Sched sched.Config
-	// SyncCost is the per-group synchronization cost (default 0.02 ms).
-	SyncCost float64
 	// Profile is the device model; zero value = A100.
 	Profile gpusim.Profile
 	// Device, when non-nil, overrides Profile and runs the runtime on the
@@ -83,10 +79,6 @@ func New(cfg Config) (*Runtime, error) {
 		eng = dev.Engine()
 		profile = dev.Profile()
 	}
-	syncCost := cfg.SyncCost
-	if syncCost == 0 {
-		syncCost = 0.02
-	}
 	specs := cfg.Specs
 	if specs == nil {
 		specs = dnn.NewSpecs(profile)
@@ -97,22 +89,18 @@ func New(cfg Config) (*Runtime, error) {
 	if model == nil {
 		model = predictor.Oracle{Profile: profile, Specs: specs}
 	}
-	schedCfg := cfg.Sched
-	if schedCfg == (sched.Config{}) {
-		schedCfg = sched.DefaultConfig()
-	}
 	sink := cfg.OnResult
 	if sink == nil {
 		sink = func(*sched.Query) {}
 	}
-	exec := executor.New(dev, syncCost, specs)
+	exec := executor.New(dev, executor.SyncCostMS, specs)
 	rt := &Runtime{
 		eng:      eng,
 		dev:      dev,
 		exec:     exec,
 		services: sched.Services(cfg.Models, cfg.QoSFactor, profile),
 	}
-	rt.ctrl = sched.NewAbacus(eng, exec, model, schedCfg, sink)
+	rt.ctrl = sched.NewAbacus(eng, exec, model, sched.DefaultConfig(), sink)
 	return rt, nil
 }
 

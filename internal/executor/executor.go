@@ -48,6 +48,10 @@ type groupRun struct {
 	done      func()
 }
 
+// SyncCostMS is the per-group synchronization overhead, in ms, that every
+// serving path charges and admission predicts with.
+const SyncCostMS = 0.02
+
 // New returns an executor over the device. syncCost is the per-group
 // synchronization overhead charged on the virtual clock (≥ 0). specs is the
 // kernel-spec table every span is read from; it must be bound to the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"abacus/internal/dnn"
+	"abacus/internal/executor"
 	"abacus/internal/predictor"
 	"abacus/internal/runner"
 	"abacus/internal/sched"
@@ -45,14 +46,14 @@ func Ablations(opts Options) []Table {
 	trained := unifiedPredictor(opts, models, 2)
 
 	variants := []variant{
-		{"baseline (pipelined, drop, 4-way)", baseCfg, trained, 0.02},
-		{"no pipelining", noPipe, trained, 0.02},
-		{"no drop mechanism", noDrop, trained, 0.02},
-		{"1-way search", oneWay, trained, 0.02},
-		{"8-way search", eightWay, trained, 0.02},
-		{"5x prediction cost", costlyPred, trained, 0.02},
-		{"oracle predictor", baseCfg, oracle, 0.02},
-		{"5x sync cost", baseCfg, trained, 0.1},
+		{"baseline (pipelined, drop, 4-way)", baseCfg, trained, executor.SyncCostMS},
+		{"no pipelining", noPipe, trained, executor.SyncCostMS},
+		{"no drop mechanism", noDrop, trained, executor.SyncCostMS},
+		{"1-way search", oneWay, trained, executor.SyncCostMS},
+		{"8-way search", eightWay, trained, executor.SyncCostMS},
+		{"5x prediction cost", costlyPred, trained, executor.SyncCostMS},
+		{"oracle predictor", baseCfg, oracle, executor.SyncCostMS},
+		{"5x sync cost", baseCfg, trained, 5 * executor.SyncCostMS},
 	}
 
 	t := Table{
@@ -94,7 +95,7 @@ func Ablations(opts Options) []Table {
 			Arrivals: arrivals,
 		})
 	})
-	results := plan.Run(opts.Parallel)
+	results := plan.Run(0)
 	for i, v := range variants {
 		res := results[i]
 		t.AddRow(v.name, f2(res.NormalizedTail()), pct(res.ViolationRatio()),

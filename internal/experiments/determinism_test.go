@@ -3,7 +3,17 @@ package experiments
 import (
 	"reflect"
 	"testing"
+
+	"abacus/internal/runner"
 )
+
+// setParallel sets the runner's default worker count, restoring the
+// previous one when the test ends.
+func setParallel(t *testing.T, n int) {
+	prev := runner.DefaultParallel()
+	t.Cleanup(func() { runner.SetDefaultParallel(prev) })
+	runner.SetDefaultParallel(n)
+}
 
 // TestFig14ParallelDeterminism is the harness's regression gate: the same
 // experiment run serially and with 8 workers must produce byte-identical
@@ -15,9 +25,9 @@ func TestFig14ParallelDeterminism(t *testing.T) {
 		t.Skip("runs fig14 twice; skipped in -short")
 	}
 	opts := Quick()
-	opts.Parallel = 1
+	setParallel(t, 1)
 	serial := Fig14(opts)
-	opts.Parallel = 8
+	setParallel(t, 8)
 	parallel := Fig14(opts)
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("fig14 differs between parallel=1 and parallel=8:\nserial:   %+v\nparallel: %+v",
@@ -32,9 +42,9 @@ func TestSegmentsParallelDeterminism(t *testing.T) {
 		t.Skip("runs segments twice; skipped in -short")
 	}
 	opts := Quick()
-	opts.Parallel = 1
+	setParallel(t, 1)
 	serial := Segments(opts)
-	opts.Parallel = 8
+	setParallel(t, 8)
 	parallel := Segments(opts)
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("segments differs between parallel=1 and parallel=8:\nserial:   %+v\nparallel: %+v",

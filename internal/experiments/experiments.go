@@ -53,6 +53,10 @@ func (t *Table) Render(w io.Writer) {
 
 // Options scales the experiments. Full() reproduces the paper's setup;
 // Quick() shrinks workloads for CI and benchmarks while preserving shapes.
+// Every experiment fans its independent runs out over the runner's default
+// worker count (runner.SetDefaultParallel, passed as 0). Results are
+// identical at any width: every run owns its engine and RNG, and rows keep
+// their sweep order.
 type Options struct {
 	// Quick selects the reduced configuration.
 	Quick bool
@@ -66,11 +70,6 @@ type Options struct {
 	// UseOracle replaces the trained MLP with the exact oracle model in
 	// Abacus runs (fast path; also the perfect-predictor ablation).
 	UseOracle bool
-	// Parallel bounds the worker count for an experiment's independent
-	// runs (<= 0 uses the runner default). Results are identical at any
-	// setting: every run owns its engine and RNG, and rows keep their
-	// sweep order.
-	Parallel int
 }
 
 // Full returns the reference configuration used to populate EXPERIMENTS.md.
@@ -158,7 +157,7 @@ func unifiedPredictorOn(opts Options, models []dnn.ModelID, maxK int, prof gpusi
 		// Each co-location degree is profiled by its own sampler, so the
 		// degrees collect concurrently and concatenate in k order — the
 		// same sample sequence the serial loop produced.
-		perK := runner.Map(maxK, opts.Parallel, func(i int) []predictor.Sample {
+		perK := runner.Map(maxK, 0, func(i int) []predictor.Sample {
 			return predictor.Collect(models, i+1, opts.SamplesPerPair, cfg)
 		})
 		var samples []predictor.Sample

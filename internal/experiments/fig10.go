@@ -53,7 +53,7 @@ func Fig10(opts Options) []Table {
 	// Stage 1: profile every pair concurrently. Each pair owns a fresh
 	// sampler seeded from cfg, so per-pair sample streams are the same at
 	// any parallelism, and the unified set concatenates in pair order.
-	perPair := runner.Map(len(pairs), opts.Parallel, func(i int) []predictor.Sample {
+	perPair := runner.Map(len(pairs), 0, func(i int) []predictor.Sample {
 		s := predictor.NewSampler(cfg)
 		var samples []predictor.Sample
 		for j := 0; j < opts.SamplesPerPair; j++ {
@@ -72,7 +72,7 @@ func Fig10(opts Options) []Table {
 	errSums := make([]float64, len(techniques))
 	mapes := make([][]float64, len(techniques)) // [technique][pair]
 	for ti, tech := range techniques {
-		_, ms, err := predictor.TrainEvalEach(perPair, codec, techniqueConfig(tech), opts.Parallel)
+		_, ms, err := predictor.TrainEvalEach(perPair, codec, techniqueConfig(tech), 0)
 		if err != nil {
 			panic(err)
 		}
@@ -91,7 +91,7 @@ func Fig10(opts Options) []Table {
 
 	// Unified model over every pair's samples ("all" column of the paper);
 	// the three techniques train concurrently on the shared read-only set.
-	allMapes := runner.Map(len(techniques), opts.Parallel, func(ti int) float64 {
+	allMapes := runner.Map(len(techniques), 0, func(ti int) float64 {
 		_, mape, err := predictor.TrainEval(all, codec, techniqueConfig(techniques[ti]))
 		if err != nil {
 			panic(err)
@@ -147,13 +147,13 @@ func nwiseAccuracy(opts Options, cfg predictor.SamplerConfig, codec predictor.Co
 	}
 	perCombo := opts.SamplesPerPair
 	degrees := []int{3, 4}
-	rows := runner.Map(len(degrees), opts.Parallel, func(di int) []string {
+	rows := runner.Map(len(degrees), 0, func(di int) []string {
 		k := degrees[di]
 		// Train on degrees 1..k so the model sees the full group-size range
 		// it must serve; evaluate on fresh degree-k groups only. Each
 		// degree profiles with its own sampler, so the sub-collections run
 		// concurrently and concatenate in degree order.
-		perK := runner.Map(k, opts.Parallel, func(i int) []predictor.Sample {
+		perK := runner.Map(k, 0, func(i int) []predictor.Sample {
 			return predictor.Collect(quad, i+1, perCombo, cfg)
 		})
 		var train []predictor.Sample

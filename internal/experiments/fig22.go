@@ -77,7 +77,7 @@ func Fig22(opts Options) []Table {
 			return cluster.Run(cfg)
 		})
 	}
-	results := plan.Run(opts.Parallel)
+	results := plan.Run(0)
 	abacus, clock := results[0], results[1]
 
 	timeline := Table{

@@ -88,7 +88,7 @@ func migTable(opts Options, id, title string, qps float64,
 	// reassembled in case × policy order.
 	cases := migCases()
 	policies := serving.AllPolicies()
-	cells := runner.Map(len(cases)*len(policies), opts.Parallel, func(i int) serving.Result {
+	cells := runner.Map(len(cases)*len(policies), 0, func(i int) serving.Result {
 		ci, pi := i/len(policies), i%len(policies)
 		return runMIG(opts, cases[ci], policies[pi], qps, opts.Seed+200+int64(ci))
 	})

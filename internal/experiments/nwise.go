@@ -59,7 +59,7 @@ func nwiseTable(opts Options, id, title string, qps float64,
 	// deployment set.
 	shared := unifiedPredictor(opts, []dnn.ModelID{dnn.ResNet101, dnn.ResNet152, dnn.VGG19, dnn.Bert}, 4)
 	sets := nwiseSets()
-	runs := runner.Map(len(sets), opts.Parallel, func(i int) pairRun {
+	runs := runner.Map(len(sets), 0, func(i int) pairRun {
 		return runCoLocation(opts, sets[i], qps, nil, opts.Seed+100+int64(i), shared)
 	})
 	for _, run := range runs {

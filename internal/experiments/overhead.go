@@ -83,7 +83,7 @@ func checkpointPeak(opts Options) float64 {
 	p := profile()
 	eng := sim.NewEngine()
 	dev := gpusim.New(eng, p)
-	exec := executor.New(dev, 0.02, nil)
+	exec := executor.New(dev, executor.SyncCostMS, nil)
 	models := []dnn.ModelID{dnn.ResNet152, dnn.InceptionV3}
 	services := sched.Services(models, 2, p)
 	a := sched.NewAbacus(eng, exec, predictor.Oracle{Profile: p, Specs: exec.Specs()}, sched.DefaultConfig(), func(*sched.Query) {})

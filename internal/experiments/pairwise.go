@@ -109,7 +109,7 @@ func Fig16(opts Options) []Table {
 	// workers share one read-only model.
 	shared := unifiedAcrossPairs(opts)
 	pairs := evalPairs(opts)
-	runs := runner.Map(len(pairs), opts.Parallel, func(i int) pairRun {
+	runs := runner.Map(len(pairs), 0, func(i int) pairRun {
 		services := sched.SmallServices(pairs[i], 2, p)
 		return runCoLocation(opts, pairs[i], 50, services, opts.Seed+int64(i), shared)
 	})
@@ -155,7 +155,7 @@ func pairwiseTable(opts Options, id, title string, qps float64, services []*sche
 	// Every pair is an independent deterministic simulation seeded by its
 	// index; the fan-out preserves row order, so the table is identical at
 	// any parallelism.
-	runs := runner.Map(len(pairs), opts.Parallel, func(i int) pairRun {
+	runs := runner.Map(len(pairs), 0, func(i int) pairRun {
 		return runCoLocation(opts, pairs[i], qps, services, opts.Seed+int64(i), shared)
 	})
 	for _, run := range runs {

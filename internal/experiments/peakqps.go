@@ -45,7 +45,7 @@ func PeakQPS(opts Options) []Table {
 	// Only the Abacus cells train a predictor; the per-key once in
 	// unifiedPredictor keeps concurrent cells from duplicating that work.
 	policies := serving.AllPolicies()
-	caps := runner.Map(len(pairs)*len(policies), opts.Parallel, func(j int) float64 {
+	caps := runner.Map(len(pairs)*len(policies), 0, func(j int) float64 {
 		i, pi := j/len(policies), j%len(policies)
 		cfg := serving.CapacityConfig{
 			Policy:     policies[pi],
@@ -99,12 +99,12 @@ func Segments(opts Options) []Table {
 		{dnn.VGG16, dnn.VGG19},
 		{dnn.ResNet101, dnn.ResNet152, dnn.VGG19, dnn.Bert},
 	}
-	rows := runner.Map(len(sets), opts.Parallel, func(i int) []string {
+	rows := runner.Map(len(sets), 0, func(i int) []string {
 		models := sets[i]
 		p := profile()
 		eng := sim.NewEngine()
 		dev := gpusim.New(eng, p)
-		exec := executor.New(dev, 0.02, nil)
+		exec := executor.New(dev, executor.SyncCostMS, nil)
 		services := sched.Services(models, 2, p)
 		var segs []float64
 		ctrl := sched.NewAbacus(eng, exec, predictor.Oracle{Profile: p, Specs: exec.Specs()}, sched.DefaultConfig(), func(q *sched.Query) {

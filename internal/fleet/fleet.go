@@ -14,6 +14,7 @@ import (
 	"abacus/internal/calib"
 	"abacus/internal/core"
 	"abacus/internal/dnn"
+	"abacus/internal/executor"
 	"abacus/internal/gpusim"
 	"abacus/internal/predictor"
 	"abacus/internal/scaler"
@@ -29,11 +30,6 @@ type Config struct {
 	QoSFactor float64
 	// Model is the base duration model; nil selects the exact oracle.
 	Model predictor.LatencyModel
-	// Sched carries controller knobs; zero value = sched.DefaultConfig.
-	Sched sched.Config
-	// SyncCost is the per-group synchronization cost the executor charges
-	// and admission predicts with (default 0.02 ms).
-	SyncCost float64
 	// QueueCap bounds admitted-but-unfinished queries per service.
 	QueueCap int
 	// Degrade tunes the admitter's degraded-mode controller.
@@ -86,10 +82,6 @@ func NewStack(cfg Config) (*Stack, error) {
 	if eng == nil {
 		eng = sim.NewEngine()
 	}
-	syncCost := cfg.SyncCost
-	if syncCost == 0 {
-		syncCost = 0.02
-	}
 	specs := cfg.Specs
 	if specs == nil {
 		specs = NewSpecs()
@@ -118,8 +110,6 @@ func NewStack(cfg Config) (*Stack, error) {
 		Models:    cfg.Models,
 		QoSFactor: cfg.QoSFactor,
 		Model:     model,
-		Sched:     cfg.Sched,
-		SyncCost:  syncCost,
 		Device:    gpusim.New(eng, profile),
 		Specs:     specs,
 		OnResult:  cfg.OnResult,
@@ -128,7 +118,7 @@ func NewStack(cfg Config) (*Stack, error) {
 		return nil, err
 	}
 	st.RT = rt
-	st.Adm = admit.New(model, profile, rt.Services(), cfg.QueueCap, syncCost,
+	st.Adm = admit.New(model, profile, rt.Services(), cfg.QueueCap, executor.SyncCostMS,
 		admit.NewDegrade(cfg.Degrade, len(cfg.Models)))
 	return st, nil
 }

@@ -108,7 +108,7 @@ func TestNewStackRefitTouchesOneService(t *testing.T) {
 		Models:       []dnn.ModelID{dnn.ResNet50, dnn.InceptionV3},
 		QueueCap:     64,
 		PredictCache: 64,
-		Calib:        &calib.Config{MinSamples: 2, UpdateEvery: 2},
+		Calib:        &calib.Config{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -120,9 +120,11 @@ func TestNewStackRefitTouchesOneService(t *testing.T) {
 		t.Fatalf("memo computed %d solo groups, want 2", memo.Misses)
 	}
 
-	// Two samples observing twice the prediction refit service 0.
-	st.Tracker.Observe(0, 10, 20)
-	st.Tracker.Observe(0, 10, 20)
+	// Sixteen samples, calibration's minimum, observing twice the
+	// prediction refit service 0.
+	for range 16 {
+		st.Tracker.Observe(0, 10, 20)
+	}
 	if st.Tracker.Slope(0) == 1 {
 		t.Fatal("no refit happened")
 	}

@@ -8,7 +8,7 @@
 // transitions back.
 //
 // The control loop is a fixed-interval tick: the host measures offered QPS
-// over the interval from its per-service stat shards, calls Tick, and acts
+// over the interval from its per-service outcome counters, calls Tick, and acts
 // on the returned Advice. A freshly added node pays a modeled
 // model-activation warm-up window during which the router sends it only a
 // probe trickle; the Controller promotes it to Active on the first tick at
@@ -32,16 +32,6 @@ type Config struct {
 	// CapacityQPS is the per-node sustainable goodput the planner sizes
 	// against (required; see autoscale.BuildPlan for estimating it).
 	CapacityQPS float64
-	// Headroom is the target utilization ceiling (default 0.7).
-	Headroom float64
-	// Alpha is the EWMA smoothing factor for the forecast (default 0.3).
-	Alpha float64
-	// ScaleInSlack is the hysteresis band: the fleet must be this much
-	// oversized before shrinking (default 1.3).
-	ScaleInSlack float64
-	// ScaleInCooldown suppresses scale-in for this many ticks after any
-	// scale action (default 5).
-	ScaleInCooldown int
 	// IntervalMS is the control-loop tick period in virtual milliseconds
 	// (default 1000).
 	IntervalMS float64
@@ -52,24 +42,16 @@ type Config struct {
 	WarmupMS float64
 }
 
+// scaleInCooldown suppresses scale-in for this many ticks after any scale
+// action.
+const scaleInCooldown = 5
+
 func (c Config) withDefaults() Config {
 	if c.MinNodes <= 0 {
 		c.MinNodes = 1
 	}
 	if c.MaxNodes == 0 {
 		c.MaxNodes = 8
-	}
-	if c.Headroom == 0 {
-		c.Headroom = 0.7
-	}
-	if c.Alpha == 0 {
-		c.Alpha = 0.3
-	}
-	if c.ScaleInSlack == 0 {
-		c.ScaleInSlack = 1.3
-	}
-	if c.ScaleInCooldown == 0 {
-		c.ScaleInCooldown = 5
 	}
 	if c.IntervalMS == 0 {
 		c.IntervalMS = 1000
@@ -161,12 +143,9 @@ func New(cfg Config) (*Controller, error) {
 	}
 	planner, err := autoscale.NewPlanner(autoscale.PlannerConfig{
 		Plan:            autoscale.Plan{CapacityQPS: cfg.CapacityQPS},
-		Headroom:        cfg.Headroom,
-		Alpha:           cfg.Alpha,
 		MinNodes:        cfg.MinNodes,
 		MaxNodes:        cfg.MaxNodes,
-		ScaleInSlack:    cfg.ScaleInSlack,
-		ScaleInCooldown: cfg.ScaleInCooldown,
+		ScaleInCooldown: scaleInCooldown,
 	})
 	if err != nil {
 		return nil, err

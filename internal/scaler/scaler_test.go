@@ -18,7 +18,7 @@ func newController(t *testing.T, cfg Config) *Controller {
 func TestLifecycleAddPromoteDrainRetire(t *testing.T) {
 	c := newController(t, Config{
 		MinNodes: 1, MaxNodes: 4, CapacityQPS: 10,
-		IntervalMS: 1000, WarmupMS: 1500, ScaleInCooldown: 1, Alpha: 1,
+		IntervalMS: 1000, WarmupMS: 1500,
 	})
 
 	// 30 QPS against 7 usable per node → need 5, clamped to 4: add 3.
@@ -41,8 +41,8 @@ func TestLifecycleAddPromoteDrainRetire(t *testing.T) {
 	if len(adv.Promote) != 0 {
 		t.Fatalf("tick 2 promoted %v before warm-up deadline", adv.Promote)
 	}
-	// Past the deadline all three promote.
-	adv = c.Tick(3000, 30)
+	// Past the deadline all three promote, as load vanishes.
+	adv = c.Tick(3000, 0)
 	if len(adv.Promote) != 3 {
 		t.Fatalf("tick 3 promoted %v, want 3 nodes", adv.Promote)
 	}
@@ -52,13 +52,21 @@ func TestLifecycleAddPromoteDrainRetire(t *testing.T) {
 		}
 	}
 
-	// Load vanishes: hysteresis allows shrink, but cooldown from the last
-	// action must pass first (cooldown=1 suppresses the next observation's
-	// scale-in... it was set at tick 1, decremented ticks 2; by now it is
-	// clear). Demand 0 → need 1 → drain 3 newest.
-	adv = c.Tick(4000, 0)
+	// The forecast decays by 0.7 a tick (21, 14.7, 10.3, 7.2): scale-in is
+	// wanted from tick 3 on, but the cooldown the scale-out armed holds the
+	// fleet through tick 6.
+	if adv.Reason != autoscale.ReasonCooldown {
+		t.Fatalf("tick 3 reason %q, want cooldown", adv.Reason)
+	}
+	for now := 4000.0; now <= 6000; now += 1000 {
+		if adv = c.Tick(now, 0); adv.Reason != autoscale.ReasonCooldown {
+			t.Fatalf("tick at %v: reason %q, want cooldown", now, adv.Reason)
+		}
+	}
+	// Forecast 5 → need 1 → drain the 3 newest.
+	adv = c.Tick(7000, 0)
 	if adv.Decision != autoscale.ScaleIn || len(adv.Drain) != 3 {
-		t.Fatalf("tick 4: got %v drain=%v, want scale-in of 3", adv.Decision, adv.Drain)
+		t.Fatalf("tick 7: got %v drain=%v, want scale-in of 3", adv.Decision, adv.Drain)
 	}
 	// Newest-first: IDs 3, 2, 1 in that order; founder 0 survives.
 	want := []int{3, 2, 1}
@@ -72,9 +80,9 @@ func TestLifecycleAddPromoteDrainRetire(t *testing.T) {
 	}
 
 	for _, id := range adv.Drain {
-		c.Retire(id, 4500)
+		c.Retire(id, 7500)
 	}
-	s := c.Snapshot(5000)
+	s := c.Snapshot(8000)
 	if s.Live != 1 || s.Active != 1 || s.Retired != 3 || s.Peak != 4 {
 		t.Errorf("snapshot %+v, want live=1 active=1 retired=3 peak=4", s)
 	}
@@ -106,16 +114,18 @@ func TestNodeMSAccounting(t *testing.T) {
 }
 
 func TestDrainPrefersWarmingNodes(t *testing.T) {
-	c := newController(t, Config{MinNodes: 2, MaxNodes: 8, CapacityQPS: 10, WarmupMS: 10_000, ScaleInSlack: 1, ScaleInCooldown: 1, Alpha: 1})
+	c := newController(t, Config{MinNodes: 2, MaxNodes: 8, CapacityQPS: 10, WarmupMS: 10_000})
 
 	adv := c.Tick(1000, 30) // need 5 → add 3 warming
 	if len(adv.Add) != 3 {
 		t.Fatalf("add=%v, want 3", adv.Add)
 	}
-	// Demand collapses before they warm up: the drains must hit the
+	// Demand collapses before they warm up (deadline 11000): once the
+	// forecast has decayed and the cooldown passed, the drains must hit the
 	// still-warming newest nodes, never the active founders.
-	c.Tick(2000, 0) // cooldown from the scale-out holds this one
-	adv = c.Tick(3000, 0)
+	for now := 2000.0; len(adv.Drain) == 0 && now < 11_000; now += 1000 {
+		adv = c.Tick(now, 0)
+	}
 	if len(adv.Drain) != 3 {
 		t.Fatalf("drain=%v, want the 3 warming nodes", adv.Drain)
 	}
@@ -132,14 +142,17 @@ func TestDrainPrefersWarmingNodes(t *testing.T) {
 }
 
 func TestSnapshotCountersSurfacePlannerState(t *testing.T) {
-	c := newController(t, Config{MinNodes: 1, MaxNodes: 2, CapacityQPS: 10, ScaleInCooldown: 3, Alpha: 1})
+	c := newController(t, Config{MinNodes: 1, MaxNodes: 2, CapacityQPS: 10})
 
-	c.Tick(1000, 100) // clamped at MaxNodes: scale-out 1 → 2
-	adv := c.Tick(2000, 100)
+	// A quiet first tick keeps the forecast low, so the spikes below size on
+	// the offered load and one quiet tick later the planner wants 1 node.
+	c.Tick(500, 0)
+	c.Tick(1000, 15) // need 3, clamped at MaxNodes: scale-out 1 → 2
+	adv := c.Tick(2000, 15)
 	if adv.Reason != autoscale.ReasonMaxNodes {
 		t.Errorf("reason %q, want max-nodes", adv.Reason)
 	}
-	adv = c.Tick(3000, 0) // cooldown from tick-1 action still holds
+	adv = c.Tick(3000, 0) // forecast 5.4 → need 1; the scale-out's cooldown holds
 	if adv.Reason != autoscale.ReasonCooldown {
 		t.Errorf("reason %q, want cooldown", adv.Reason)
 	}
@@ -147,7 +160,7 @@ func TestSnapshotCountersSurfacePlannerState(t *testing.T) {
 	if s.Counters.HeldMaxNodes != 1 || s.Counters.HeldCooldown != 1 {
 		t.Errorf("counters %+v, want held max-nodes=1 cooldown=1", s.Counters)
 	}
-	if s.Last.Reason != autoscale.ReasonCooldown || s.Ticks != 3 {
+	if s.Last.Reason != autoscale.ReasonCooldown || s.Ticks != 4 {
 		t.Errorf("last=%+v ticks=%d", s.Last, s.Ticks)
 	}
 }

@@ -34,7 +34,7 @@ func TestGatewayCalibration(t *testing.T) {
 		Models:  models,
 		Speedup: realtime.Unpaced,
 		Model:   pert,
-		Calib:   &calib.Config{Seed: 7, MinSamples: 8, UpdateEvery: 4},
+		Calib:   &calib.Config{Seed: 7},
 	})
 	arrivals := trace.NewGenerator(models, 7).Poisson(40, 4000)
 	// Low concurrency keeps most completions uncontended so the tracker's
@@ -114,7 +114,7 @@ func TestPredictCacheTransparentUnderCalibration(t *testing.T) {
 			Models:       []dnn.ModelID{dnn.ResNet152, dnn.InceptionV3},
 			Speedup:      realtime.Unpaced,
 			Model:        pert,
-			Calib:        &calib.Config{Seed: 7, MinSamples: 8, UpdateEvery: 4},
+			Calib:        &calib.Config{Seed: 7},
 			PredictCache: cache,
 		})
 		if err != nil {
@@ -157,4 +157,21 @@ func TestPredictCacheTransparentUnderCalibration(t *testing.T) {
 	if string(gotJSON) != string(wantJSON) {
 		t.Errorf("/statz diverges with the cache on:\n got %s\nwant %s", gotJSON, wantJSON)
 	}
+}
+
+// firstDiff returns a window around the first byte where a and b diverge.
+func firstDiff(a, b string) string {
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	lo := i - 40
+	if lo < 0 {
+		lo = 0
+	}
+	hi := i + 80
+	if hi > len(a) {
+		hi = len(a)
+	}
+	return fmt.Sprintf("…%s… (offset %d)", a[lo:hi], i)
 }

@@ -234,12 +234,8 @@ func renderMetrics(st Statz) []byte {
 	}
 
 	if st.Calibration != nil {
-		cal := 0
-		if st.Calibration.Enabled {
-			cal = 1
-		}
 		head("abacus_calibration_enabled", "gauge", "1 while online latency-model calibration acts on feedback.")
-		emit("abacus_calibration_enabled %d\n", cal)
+		emit("abacus_calibration_enabled 1\n")
 
 		head("abacus_calibration_slope", "gauge", "Per-service affine correction slope (1 = predictions trusted as-is).")
 		for _, c := range st.Calibration.Services {
@@ -256,7 +252,7 @@ func renderMetrics(st Statz) []byte {
 			emit("abacus_calibration_samples_total{service=%q} %d\n", c.Model, c.Samples)
 		}
 
-		head("abacus_calibration_updates_total", "counter", "Applied correction updates per service (mini-refits included).")
+		head("abacus_calibration_updates_total", "counter", "Applied correction updates per service.")
 		for _, c := range st.Calibration.Services {
 			emit("abacus_calibration_updates_total{service=%q} %d\n", c.Model, c.Updates)
 		}

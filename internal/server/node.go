@@ -105,7 +105,7 @@ func newNode(s *Server, id int, models []dnn.ModelID, global []int) (*node, erro
 		local:    make([]int, len(cfg.Models)),
 		pending:  make(map[*sched.Query]*pending),
 		byID:     make(map[string]*pending),
-		recent:   newOutcomeCache(cfg.DedupeWindow, func(rid string) { s.routes.Delete(rid) }),
+		recent:   newOutcomeCache(dedupeWindow, func(rid string) { s.routes.Delete(rid) }),
 		degraded: make([]atomic.Bool, len(models)),
 		mboxWake: make(chan struct{}, 1),
 	}
@@ -120,10 +120,7 @@ func newNode(s *Server, id int, models []dnn.ModelID, global []int) (*node, erro
 		Models:       models,
 		QoSFactor:    cfg.QoSFactor,
 		Model:        cfg.Model,
-		Sched:        cfg.Sched,
-		SyncCost:     cfg.SyncCost,
 		QueueCap:     cfg.QueueCap,
-		Degrade:      cfg.Degrade,
 		PredictCache: cfg.PredictCache,
 		Calib:        cfg.Calib,
 		Specs:        s.specs,

@@ -35,11 +35,9 @@ type RetryPolicy struct {
 	JitterSeed int64
 	// SLOBudget bounds the whole operation in wall time, sleeps included;
 	// when the budget cannot cover another backoff plus attempt, the last
-	// response is returned instead of retrying. Zero means unbounded.
+	// response is returned instead of retrying. Each attempt is bounded by
+	// the budget that remains. Zero means unbounded.
 	SLOBudget time.Duration
-	// PerAttemptTimeout bounds each individual attempt (default: the
-	// remaining budget; unbounded when SLOBudget is zero too).
-	PerAttemptTimeout time.Duration
 }
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
@@ -204,7 +202,7 @@ func (r *Retrier) InferRetry(ctx context.Context, c *Client, req InferRequest) (
 	)
 	for attempt := 0; attempt < r.policy.MaxAttempts; attempt++ {
 		req.Attempt = attempt
-		attemptCtx, cancel := r.attemptContext(ctx, deadline)
+		attemptCtx, cancel := attemptContext(ctx, deadline)
 		resp, status, hdr, lastErr = c.inferHeaders(attemptCtx, req)
 		cancel()
 		st.Attempts++
@@ -250,21 +248,15 @@ func (r *Retrier) InferRetry(ctx context.Context, c *Client, req InferRequest) (
 	return resp, status, st, lastErr
 }
 
-// attemptContext derives the per-attempt context from the policy and the
-// remaining budget.
-func (r *Retrier) attemptContext(ctx context.Context, deadline time.Time) (context.Context, context.CancelFunc) {
-	timeout := r.policy.PerAttemptTimeout
-	if !deadline.IsZero() {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			remaining = time.Millisecond
-		}
-		if timeout <= 0 || remaining < timeout {
-			timeout = remaining
-		}
-	}
-	if timeout <= 0 {
+// attemptContext bounds one attempt by the remaining SLO budget; without a
+// deadline only ctx bounds it.
+func attemptContext(ctx context.Context, deadline time.Time) (context.Context, context.CancelFunc) {
+	if deadline.IsZero() {
 		return context.WithCancel(ctx)
 	}
-	return context.WithTimeout(ctx, timeout)
+	remaining := time.Until(deadline)
+	if remaining <= 0 {
+		remaining = time.Millisecond
+	}
+	return context.WithTimeout(ctx, remaining)
 }

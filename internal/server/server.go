@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"abacus/internal/admit"
-	"abacus/internal/autoscale"
 	"abacus/internal/calib"
 	"abacus/internal/dnn"
 	"abacus/internal/fleet"
@@ -78,15 +77,8 @@ type Config struct {
 	// it is shared across their loop goroutines and must be safe for
 	// concurrent use (the built-in models are pure).
 	Model predictor.LatencyModel
-	// Sched carries controller knobs; zero value = sched.DefaultConfig.
-	Sched sched.Config
-	// SyncCost is the per-group synchronization cost (default 0.02 ms).
-	SyncCost float64
 	// DrainTimeout bounds Shutdown's graceful drain (default 10s).
 	DrainTimeout time.Duration
-	// Degrade tunes the degraded-mode controller; the zero value enables it
-	// with defaults, Disabled pins the admission margin at 1.
-	Degrade admit.DegradeConfig
 	// Calib, when non-nil, enables online latency-model calibration: every
 	// completed query feeds a per-service feedback tracker and both the
 	// scheduler and admission predict through the corrected model. Each node
@@ -103,9 +95,6 @@ type Config struct {
 	// (default 30s). Response writing is unaffected, so paced inference
 	// waits are not.
 	ReadTimeout time.Duration
-	// DedupeWindow is how many completed request IDs each node's idempotency
-	// cache remembers (default 4096).
-	DedupeWindow int
 	// PredictCache bounds the per-node group-signature memoization cache
 	// wrapped around the duration model (predictor.Memoized): steady-state
 	// scheduling rounds re-predict the same group signatures, and the cache
@@ -129,13 +118,6 @@ type Config struct {
 	// demand moves. Requires the derived replicated placement (Placement nil),
 	// Nodes zero or equal to MinNodes, and wall pacing (not Unpaced).
 	Autoscale *scaler.Config
-	// StatShards is how many mutexes guard the per-service outcome counters
-	// (service i hashes to shard i mod StatShards). The default (0) gives
-	// every service its own shard, so two services' handlers never contend
-	// on a stats lock; 1 recovers the single global lock. Counter values are
-	// identical at any shard count — only contention changes — which the
-	// shard-determinism suite pins byte-for-byte over /statz.
-	StatShards int
 }
 
 // Server is the gateway. Construct with New, then Start before serving its
@@ -175,12 +157,10 @@ type Server struct {
 	malformed   atomic.Int64
 	retriesSeen atomic.Int64
 
-	// Per-service outcome counters behind sharded locks: service i is
-	// guarded by statMu[i%len(statMu)]. With the default one-shard-per-
-	// service layout, concurrent handlers for different services never
-	// serialize on stats accounting; shard count 1 is the old global lock.
-	statMu []sync.Mutex
-	svc    []*svcStats
+	// Per-service outcome counters, each behind its own mutex, so
+	// concurrent handlers for different services never serialize on stats
+	// accounting.
+	svc []*svcStats
 
 	// Elastic-autoscale state (see scale.go); ctrl is nil when Autoscale is
 	// off. The controller itself is not goroutine-safe: every use, and every
@@ -196,11 +176,6 @@ type Server struct {
 	retiredSt []NodeStatz // terminal snapshots of retired nodes
 }
 
-// statLock returns the mutex shard guarding service svc's counters.
-func (s *Server) statLock(svc int) *sync.Mutex {
-	return &s.statMu[svc%len(s.statMu)]
-}
-
 // pending is one admitted query awaiting completion: done closes after the
 // sink's final writes to q, so handlers may read q afterwards. Several
 // handlers may wait on the same pending when duplicate requests attach to
@@ -212,6 +187,10 @@ type pending struct {
 	workMS float64 // backlog unit released when the query finishes
 	done   chan struct{}
 }
+
+// dedupeWindow is how many completed request IDs each node's idempotency
+// cache remembers.
+const dedupeWindow = 4096
 
 // outcomeCache remembers the most recent completed request IDs so a retry
 // that arrives after its original completed is answered from the cache
@@ -251,8 +230,9 @@ func (c *outcomeCache) get(id string) (*pending, bool) {
 	return p, ok
 }
 
-// svcStats accumulates one service's outcomes (guarded by Server.mu).
+// svcStats accumulates one service's outcomes, guarded by mu.
 type svcStats struct {
+	mu               sync.Mutex
 	accepted         int64
 	rejectedDeadline int64
 	rejectedQueue    int64
@@ -305,7 +285,7 @@ func placement(cfg Config, profile gpusim.Profile) [][]dnn.ModelID {
 	groups := [][]dnn.ModelID{cfg.Models}
 	if cfg.Nodes > 1 && cfg.Autoscale == nil {
 		groupSize := min((len(cfg.Models)+cfg.Nodes-1)/cfg.Nodes, predictor.MaxCoLocated)
-		groups = autoscale.GroupServices(cfg.Models, groupSize, profile)
+		groups = predictor.PartitionServices(cfg.Models, groupSize, 16, profile)
 	}
 	out := make([][]dnn.ModelID, cfg.Nodes)
 	for i := range out {
@@ -372,18 +352,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.ReadTimeout <= 0 {
 		cfg.ReadTimeout = 30 * time.Second
 	}
-	if cfg.DedupeWindow <= 0 {
-		cfg.DedupeWindow = 4096
-	}
 	if cfg.PredictCache == 0 {
 		cfg.PredictCache = 4096
 	}
-	if cfg.StatShards <= 0 {
-		cfg.StatShards = len(cfg.Models)
-	}
 
 	s := &Server{cfg: cfg, byName: make(map[string]int), specs: fleet.NewSpecs()}
-	s.statMu = make([]sync.Mutex, cfg.StatShards)
 	for i, m := range cfg.Models {
 		name := m.String()
 		if _, dup := s.byName[name]; dup {
@@ -588,10 +561,8 @@ func (s *Server) onResult(n *node, q *sched.Query) {
 	n.Resolve(local, p.predMS, p.workMS, q.Latency())
 	n.publish()
 
-	g := n.global[local]
-	mu := s.statLock(g)
-	mu.Lock()
-	st := s.svc[g]
+	st := s.svc[n.global[local]]
+	st.mu.Lock()
 	if q.Dropped {
 		st.dropped++
 		st.violated++
@@ -606,7 +577,7 @@ func (s *Server) onResult(n *node, q *sched.Query) {
 			st.good++
 		}
 	}
-	mu.Unlock()
+	st.mu.Unlock()
 
 	close(p.done)
 }
@@ -818,10 +789,10 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	mu := s.statLock(svcIdx)
-	mu.Lock()
-	s.svc[svcIdx].accepted++
-	mu.Unlock()
+	st := s.svc[svcIdx]
+	st.mu.Lock()
+	st.accepted++
+	st.mu.Unlock()
 
 	select {
 	case <-pend.done:
@@ -873,10 +844,9 @@ func (s *Server) validate(req *WireRequest) (int, dnn.Input, error) {
 }
 
 func (s *Server) countReject(svc int, reason string) {
-	mu := s.statLock(svc)
-	mu.Lock()
-	defer mu.Unlock()
 	st := s.svc[svc]
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	switch reason {
 	case reasonDeadline:
 		st.rejectedDeadline++
@@ -1087,13 +1057,12 @@ func mergeDegrade(nodes []NodeStatz) admit.Status {
 // feedback samples (ties → lowest node id, which comes first).
 func mergeCalibration(nodes []NodeStatz, numServices int) *calib.Status {
 	best := make([]*calib.ServiceStatus, numServices)
-	enabled, any := false, false
+	any := false
 	for _, n := range nodes {
 		if n.Calibration == nil {
 			continue
 		}
 		any = true
-		enabled = enabled || n.Calibration.Enabled
 		for i := range n.Calibration.Services {
 			e := &n.Calibration.Services[i]
 			if cur := best[e.Service]; cur == nil || e.Samples > cur.Samples {
@@ -1104,7 +1073,7 @@ func mergeCalibration(nodes []NodeStatz, numServices int) *calib.Status {
 	if !any {
 		return nil
 	}
-	out := &calib.Status{Enabled: enabled}
+	out := &calib.Status{Enabled: true}
 	for _, e := range best {
 		if e != nil {
 			out.Services = append(out.Services, *e)
@@ -1202,8 +1171,7 @@ func (s *Server) statz() Statz {
 
 	now := out.NowMS
 	for i, st := range s.svc {
-		mu := s.statLock(i)
-		mu.Lock()
+		st.mu.Lock()
 		entry := ServiceStatz{
 			Service:          i,
 			Model:            s.cfg.Models[i].String(),
@@ -1229,7 +1197,7 @@ func (s *Server) statz() Statz {
 		if now > 0 {
 			entry.GoodputQPS = float64(st.good) / (now / 1000)
 		}
-		mu.Unlock()
+		st.mu.Unlock()
 		out.Services = append(out.Services, entry)
 	}
 	return out

@@ -15,44 +15,30 @@ type CapacityConfig struct {
 	Models []dnn.ModelID
 	// Model is Abacus's duration model (nil → oracle).
 	Model predictor.LatencyModel
-	// MaxViolation is the QoS violation ratio a load must stay under to
-	// count as "supported" (default 0.05).
-	MaxViolation float64
 	// DurationMS is the probe length per load point (default 6000).
 	DurationMS float64
 	// LoQPS/HiQPS bracket the search (defaults 5 and 400).
 	LoQPS, HiQPS float64
 	// ToleranceQPS stops the search (default 4).
 	ToleranceQPS float64
-	// Probes is the number of evenly spaced interior load points simulated
-	// per search round (default 1 = classic bisection). The probe sequence
-	// depends only on Probes, never on worker parallelism, so results are
-	// identical at any Parallel; raising Probes narrows the bracket faster
-	// per round at the cost of more simulations, which then run
-	// concurrently.
-	Probes int
-	// Parallel bounds concurrent probe simulations per round (<= 0 uses
-	// the runner default).
-	Parallel int
 	// Seed drives the workload.
 	Seed int64
 }
 
+// maxViolation is the QoS violation ratio a load must stay under to count
+// as supported.
+const maxViolation = 0.05
+
 // PeakQPS finds the highest offered load (queries/s) the deployment
 // sustains under the policy while keeping the QoS violation ratio below
-// the threshold — the paper's notion of peak throughput with a QoS
+// maxViolation — the paper's notion of peak throughput with a QoS
 // constraint (§7.3), measured directly instead of at one fixed offered
-// load. Each round simulates cfg.Probes interior load points of the
-// current bracket concurrently and keeps the bracket between the highest
-// sustained point and the first violating one; with one probe per round
-// this is exactly bisection. It returns the supported load and the result
-// measured at it.
+// load. It bisects the bracket, keeping it between the highest sustained
+// load and the lowest violating one, and returns the supported load and
+// the result measured at it.
 func PeakQPS(cfg CapacityConfig) (float64, Result) {
 	if len(cfg.Models) == 0 {
 		panic("serving: no models")
-	}
-	if cfg.MaxViolation == 0 {
-		cfg.MaxViolation = 0.05
 	}
 	if cfg.DurationMS == 0 {
 		cfg.DurationMS = 6000
@@ -65,9 +51,6 @@ func PeakQPS(cfg CapacityConfig) (float64, Result) {
 	}
 	if cfg.ToleranceQPS == 0 {
 		cfg.ToleranceQPS = 4
-	}
-	if cfg.Probes <= 0 {
-		cfg.Probes = 1
 	}
 	if cfg.HiQPS <= cfg.LoQPS {
 		panic(fmt.Sprintf("serving: bad QPS bracket [%v, %v]", cfg.LoQPS, cfg.HiQPS))
@@ -85,11 +68,11 @@ func PeakQPS(cfg CapacityConfig) (float64, Result) {
 			Arrivals: gen.Poisson(qps, cfg.DurationMS),
 			Model:    cfg.Model,
 		})
-		return outcome{res.ViolationRatio() <= cfg.MaxViolation, res}
+		return outcome{res.ViolationRatio() <= maxViolation, res}
 	}
 
 	lo, hi := cfg.LoQPS, cfg.HiQPS
-	ends := runner.Map(2, cfg.Parallel, func(i int) outcome {
+	ends := runner.Map(2, 0, func(i int) outcome {
 		return probe([]float64{lo, hi}[i])
 	})
 	if !ends[0].ok {
@@ -101,27 +84,11 @@ func PeakQPS(cfg CapacityConfig) (float64, Result) {
 	}
 	best := ends[0].res
 	for hi-lo > cfg.ToleranceQPS {
-		pts := make([]float64, cfg.Probes)
-		for j := range pts {
-			pts[j] = lo + (hi-lo)*float64(j+1)/float64(cfg.Probes+1)
-		}
-		outcomes := runner.Map(len(pts), cfg.Parallel, func(j int) outcome {
-			return probe(pts[j])
-		})
-		// The bracket closes on the highest sustained point below the first
-		// violating one, matching bisection's monotonicity assumption.
-		firstFail := len(pts)
-		for j, o := range outcomes {
-			if !o.ok {
-				firstFail = j
-				break
-			}
-		}
-		if firstFail > 0 {
-			lo, best = pts[firstFail-1], outcomes[firstFail-1].res
-		}
-		if firstFail < len(pts) {
-			hi = pts[firstFail]
+		mid := lo + (hi-lo)/2
+		if o := probe(mid); o.ok {
+			lo, best = mid, o.res
+		} else {
+			hi = mid
 		}
 	}
 	return lo, best

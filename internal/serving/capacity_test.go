@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"abacus/internal/dnn"
+	"abacus/internal/runner"
 )
 
 // capacityBase is a fast search bracket shared by the capacity tests.
@@ -27,39 +28,17 @@ func TestPeakQPSParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("capacity probes are slow; skipped in -short")
 	}
+	prev := runner.DefaultParallel()
+	t.Cleanup(func() { runner.SetDefaultParallel(prev) })
 	cfg := capacityBase()
-	cfg.Parallel = 1
+	runner.SetDefaultParallel(1)
 	qps1, res1 := PeakQPS(cfg)
-	cfg.Parallel = 8
+	runner.SetDefaultParallel(8)
 	qps8, res8 := PeakQPS(cfg)
 	if qps1 != qps8 {
 		t.Fatalf("capacity differs by worker width: %v vs %v", qps1, qps8)
 	}
 	if !reflect.DeepEqual(res1.Records, res8.Records) {
 		t.Fatal("measured run differs by worker width")
-	}
-}
-
-// TestPeakQPSMultiProbe sanity-checks the generalized bracket search:
-// more interior probes per round must still land within tolerance of the
-// single-probe (bisection) answer, and stay deterministic across widths.
-func TestPeakQPSMultiProbe(t *testing.T) {
-	if testing.Short() {
-		t.Skip("capacity probes are slow; skipped in -short")
-	}
-	cfg := capacityBase()
-	bisect, _ := PeakQPS(cfg)
-	cfg.Probes = 3
-	cfg.Parallel = 4
-	multi, _ := PeakQPS(cfg)
-	cfg.Parallel = 1
-	multiSerial, _ := PeakQPS(cfg)
-	if multi != multiSerial {
-		t.Fatalf("multi-probe capacity differs by worker width: %v vs %v", multi, multiSerial)
-	}
-	// Both searches maintain the invariant lo sustains / hi violates, so
-	// they agree up to the coarser tolerance.
-	if diff := multi - bisect; diff > cfg.ToleranceQPS || diff < -cfg.ToleranceQPS {
-		t.Errorf("Probes=3 capacity %v too far from bisection %v", multi, bisect)
 	}
 }

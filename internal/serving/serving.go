@@ -81,7 +81,8 @@ type RunConfig struct {
 	Model predictor.LatencyModel
 	// Sched carries scheduler knobs; zero value means sched.DefaultConfig.
 	Sched sched.Config
-	// SyncCost is the per-group synchronization overhead (default 0.02 ms).
+	// SyncCost is the per-group synchronization overhead (default
+	// executor.SyncCostMS).
 	SyncCost float64
 	// DrainMS bounds how long after the last arrival the run may continue
 	// (default: 10 × the longest QoS target).
@@ -189,7 +190,7 @@ func Run(cfg RunConfig) Result {
 	}
 	syncCost := cfg.SyncCost
 	if syncCost == 0 {
-		syncCost = 0.02
+		syncCost = executor.SyncCostMS
 	}
 	specs := dnn.NewSpecs(profile)
 
