@@ -68,13 +68,15 @@ test-paced:
 # hunting past the committed corpora. FuzzEngineOrder drives sim.Engine and a
 # sort-a-slice reference with the same byte-string program; FuzzSpecSpan
 # checks spec-table spans against the cost model bit for bit; the predictor
-# pair checks the feature codec's round trip and the sampler's groups.
-# `go test -fuzz` takes one target per run.
+# pair checks the feature codec's round trip and the sampler's groups;
+# FuzzFitBlocked holds the blocked MLP trainer to the per-sample one bit for
+# bit. `go test -fuzz` takes one target per run.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecSpan$$' -fuzztime 10s ./internal/dnn
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecEncode$$' -fuzztime 10s ./internal/predictor
 	$(GO) test -run '^$$' -fuzz '^FuzzSamplerSeeds$$' -fuzztime 10s ./internal/predictor
+	$(GO) test -run '^$$' -fuzz '^FuzzFitBlocked$$' -fuzztime 10s ./internal/ml
 
 # bench/ is a nested module: `go build ./... && go test ./...` never compile
 # it, so an internal signature change can leave tier-1 green and the

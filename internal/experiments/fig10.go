@@ -50,17 +50,12 @@ func Fig10(opts Options) []Table {
 		return tc
 	}
 
-	// Stage 1: profile every pair concurrently. Each pair owns a fresh
-	// sampler seeded from cfg, so per-pair sample streams are the same at
-	// any parallelism, and the unified set concatenates in pair order.
+	// Stage 1: profile every pair concurrently. Each pair's collection
+	// samples from a fresh sampler seeded from cfg, so per-pair sample
+	// streams are the same at any parallelism, and the unified set
+	// concatenates in pair order.
 	perPair := runner.Map(len(pairs), 0, func(i int) []predictor.Sample {
-		s := predictor.NewSampler(cfg)
-		var samples []predictor.Sample
-		for j := 0; j < opts.SamplesPerPair; j++ {
-			g := s.SampleGroup(pairs[i])
-			samples = append(samples, s.MeasureSample(g))
-		}
-		return samples
+		return predictor.Collect(pairs[i], 2, opts.SamplesPerPair, cfg)
 	})
 	var all []predictor.Sample
 	for _, samples := range perPair {

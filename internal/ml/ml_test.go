@@ -313,7 +313,7 @@ func TestMLPWrongWidthPanics(t *testing.T) {
 
 func TestMLPParamCount(t *testing.T) {
 	ds := synthLinear(50, 0, 17)
-	mlp := MLP{Hidden: []int{32, 32, 32}, Epochs: 1, Seed: 1}
+	mlp := MLP{Epochs: 1, Seed: 1}
 	if err := mlp.Fit(ds); err != nil {
 		t.Fatal(err)
 	}

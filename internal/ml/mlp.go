@@ -9,16 +9,11 @@ import (
 )
 
 // MLP is a fully connected feed-forward regression network trained with
-// mini-batch Adam on mean squared error. The paper's duration model (§5.5)
-// is an MLP with three hidden layers of dimension 32; that is this type's
-// default topology.
+// mini-batch Adam on mean squared error. Its topology is the paper's
+// duration model (§5.5): three hidden layers of dimension 32.
 type MLP struct {
-	// Hidden lists the hidden layer widths (default {32, 32, 32}).
-	Hidden []int
 	// Epochs is the number of passes over the data (default 300).
 	Epochs int
-	// BatchSize is the mini-batch size (default 32).
-	BatchSize int
 	// LearningRate is Adam's step size (default 1e-3).
 	LearningRate float64
 	// Seed drives initialization and shuffling; training is deterministic
@@ -38,6 +33,11 @@ type MLP struct {
 	// matrix can hold any layer's batch activations.
 	maxDim int
 }
+
+// hiddenWidth is the width of each of the three hidden layers; batchSize,
+// the mini-batch size, is a multiple of the backward pass's four-sample
+// block.
+const hiddenWidth, batchSize = 32, 32
 
 // batchScratch is one pooled pair of ping-pong activation matrices for the
 // batched forward pass, grown on demand to the largest batch seen.
@@ -63,28 +63,23 @@ type denseLayer struct {
 	mW, vW, mB, vB []float64
 }
 
-func (m *MLP) defaults() (hidden []int, epochs, batch int, lr float64) {
-	hidden = m.Hidden
-	if len(hidden) == 0 {
-		hidden = []int{32, 32, 32}
-	}
+func (m *MLP) defaults() (epochs int, lr float64) {
 	epochs = m.Epochs
 	if epochs <= 0 {
 		epochs = 300
-	}
-	batch = m.BatchSize
-	if batch <= 0 {
-		batch = 32
 	}
 	lr = m.LearningRate
 	if lr <= 0 {
 		lr = 1e-3
 	}
-	return hidden, epochs, batch, lr
+	return epochs, lr
 }
 
 // Fit trains the network, replacing any previous weights. Features and
-// targets are standardized internally.
+// targets are standardized internally. Each mini-batch runs as blocked
+// matrix passes (forwardLayerBatch, gradLayerBatch, backLayerBatch) whose
+// accumulators add their terms in the order a per-sample loop would, so
+// the trained weights are bit-identical to training one sample at a time.
 func (m *MLP) Fit(ds Dataset) error {
 	if err := ds.Validate(); err != nil {
 		return err
@@ -92,7 +87,7 @@ func (m *MLP) Fit(ds Dataset) error {
 	if ds.Len() == 0 {
 		return errors.New("ml: empty dataset")
 	}
-	hidden, epochs, batchSize, lr := m.defaults()
+	epochs, lr := m.defaults()
 
 	m.scaler = FitScaler(ds.X)
 	X := m.scaler.TransformAll(ds.X)
@@ -103,27 +98,27 @@ func (m *MLP) Fit(ds Dataset) error {
 	}
 
 	rng := rand.New(rand.NewSource(m.Seed))
-	dims := append([]int{ds.Dim()}, hidden...)
-	dims = append(dims, 1)
+	dims := []int{ds.Dim(), hiddenWidth, hiddenWidth, hiddenWidth, 1}
 	m.layers = make([]denseLayer, len(dims)-1)
 	for l := range m.layers {
 		m.layers[l] = newDenseLayer(dims[l], dims[l+1], rng)
 	}
 	m.initScratch()
 
-	// Per-layer activation and delta buffers.
+	// Per-layer batch matrices (row-major, one row per sample): acts[l]
+	// holds layer l's input activations, kept for the backward pass, and
+	// deltas[l] the loss gradient at layer l's output.
 	acts := make([][]float64, len(dims))
 	for i, d := range dims {
-		acts[i] = make([]float64, d)
+		acts[i] = make([]float64, batchSize*d)
 	}
 	deltas := make([][]float64, len(m.layers))
-	for l := range m.layers {
-		deltas[l] = make([]float64, m.layers[l].out)
-	}
 	grads := make([]denseGrads, len(m.layers))
 	for l := range m.layers {
+		deltas[l] = make([]float64, batchSize*m.layers[l].out)
 		grads[l] = newDenseGrads(m.layers[l])
 	}
+	last := len(m.layers) - 1
 
 	order := make([]int, len(X))
 	for i := range order {
@@ -135,21 +130,31 @@ func (m *MLP) Fit(ds Dataset) error {
 	for epoch := 0; epoch < epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for at := 0; at < len(order); at += batchSize {
-			end := at + batchSize
-			if end > len(order) {
-				end = len(order)
+			batch := order[at:min(at+batchSize, len(order))]
+			// A short last batch is padded to whole four-sample blocks with
+			// zero rows whose output deltas are zero, so every delta and
+			// gradient term they add is ±0.
+			B, in := (len(batch)+3)&^3, dims[0]
+			clear(acts[0][len(batch)*in : B*in])
+			clear(deltas[last][len(batch):B])
+			for b, idx := range batch {
+				copy(acts[0][b*in:(b+1)*in], X[idx])
 			}
-			for l := range grads {
-				grads[l].zero()
+			for l := range m.layers {
+				forwardLayerBatch(&m.layers[l], acts[l], acts[l+1], B, l != last)
 			}
-			for _, idx := range order[at:end] {
-				m.forward(X[idx], acts)
-				// Output delta: d(MSE)/d(out) = 2·(out − y), constant folded.
-				deltas[len(m.layers)-1][0] = acts[len(acts)-1][0] - Y[idx]
-				m.backward(acts, deltas, grads)
+			// Output delta: d(MSE)/d(out) = 2·(out − y), constant folded.
+			for b, idx := range batch {
+				deltas[last][b] = acts[last+1][b] - Y[idx]
+			}
+			for l := last; l >= 0; l-- {
+				gradLayerBatch(&m.layers[l], &grads[l], acts[l], deltas[l], B)
+				if l > 0 {
+					backLayerBatch(&m.layers[l], deltas[l], deltas[l-1], acts[l], B)
+				}
 			}
 			step++
-			scale := 1 / float64(end-at)
+			scale := 1 / float64(len(batch))
 			for l := range m.layers {
 				m.layers[l].adamStep(grads[l], scale, lr, beta1, beta2, adamEps, step)
 			}
@@ -184,82 +189,74 @@ func newDenseGrads(l denseLayer) denseGrads {
 	return denseGrads{W: make([]float64, len(l.W)), B: make([]float64, len(l.B))}
 }
 
-func (g *denseGrads) zero() {
-	for i := range g.W {
-		g.W[i] = 0
-	}
-	for i := range g.B {
-		g.B[i] = 0
+// gradLayerBatch sets g to a batch's gradient: g.B[o] = Σ_b delta[b][o] and
+// g.W[o][i] = Σ_b delta[b][o]·in[b][i], B a multiple of four. Samples are
+// blocked four wide so each gradient-row load absorbs four samples, and
+// every entry adds its terms from +0 in ascending sample order: the float
+// sequence of accumulating one sample at a time. That loop skipped zero
+// deltas; adding ±0 to an entry that starts at +0 never changes its bits.
+func gradLayerBatch(lay *denseLayer, g *denseGrads, in, delta []float64, B int) {
+	ind, outd := lay.in, lay.out
+	clear(g.W)
+	for o := 0; o < outd; o++ {
+		row := g.W[o*ind : (o+1)*ind]
+		gb := 0.0
+		for b := 0; b < B; b += 4 {
+			d0, d1, d2, d3 := delta[(b+0)*outd+o], delta[(b+1)*outd+o], delta[(b+2)*outd+o], delta[(b+3)*outd+o]
+			gb += d0
+			gb += d1
+			gb += d2
+			gb += d3
+			x0 := in[(b+0)*ind : (b+1)*ind]
+			x1 := in[(b+1)*ind : (b+2)*ind]
+			x2 := in[(b+2)*ind : (b+3)*ind]
+			x3 := in[(b+3)*ind : (b+4)*ind]
+			for i, r := range row {
+				r += d0 * x0[i]
+				r += d1 * x1[i]
+				r += d2 * x2[i]
+				r += d3 * x3[i]
+				row[i] = r
+			}
+		}
+		g.B[o] = gb
 	}
 }
 
-// forward computes all layer activations for one standardized input. acts[0]
-// receives the input; hidden layers apply ReLU; the final layer is linear.
-func (m *MLP) forward(x []float64, acts [][]float64) {
-	copy(acts[0], x)
-	for l := range m.layers {
-		lay := &m.layers[l]
-		in, out := acts[l], acts[l+1]
-		last := l == len(m.layers)-1
-		for o := 0; o < lay.out; o++ {
-			s := lay.B[o]
-			row := lay.W[o*lay.in : (o+1)*lay.in]
-			for i, v := range in {
-				s += row[i] * v
+// backLayerBatch propagates a batch's output deltas through lay's weights
+// and the ReLU that produced its input: prev[b][i] = Σ_o delta[b][o]·W[o][i],
+// summed from +0 in ascending o as the per-sample loop did, then zeroed
+// where in[b][i] ≤ 0. B is a multiple of four; each weight-row load feeds
+// four delta rows.
+func backLayerBatch(lay *denseLayer, delta, prev, in []float64, B int) {
+	ind, outd := lay.in, lay.out
+	clear(prev[:B*ind])
+	for b := 0; b < B; b += 4 {
+		p0 := prev[(b+0)*ind : (b+1)*ind]
+		p1 := prev[(b+1)*ind : (b+2)*ind]
+		p2 := prev[(b+2)*ind : (b+3)*ind]
+		p3 := prev[(b+3)*ind : (b+4)*ind]
+		for o := 0; o < outd; o++ {
+			d0, d1, d2, d3 := delta[(b+0)*outd+o], delta[(b+1)*outd+o], delta[(b+2)*outd+o], delta[(b+3)*outd+o]
+			for i, w := range lay.W[o*ind : (o+1)*ind] {
+				p0[i] += d0 * w
+				p1[i] += d1 * w
+				p2[i] += d2 * w
+				p3[i] += d3 * w
 			}
-			if !last && s < 0 {
-				s = 0
-			}
-			out[o] = s
 		}
 	}
-}
-
-// backward accumulates gradients given filled activations and the output
-// delta already stored in deltas[last].
-func (m *MLP) backward(acts, deltas [][]float64, grads []denseGrads) {
-	for l := len(m.layers) - 1; l >= 0; l-- {
-		lay := &m.layers[l]
-		in := acts[l]
-		delta := deltas[l]
-		g := &grads[l]
-		for o := 0; o < lay.out; o++ {
-			d := delta[o]
-			if d == 0 {
-				continue
-			}
-			g.B[o] += d
-			row := g.W[o*lay.in : (o+1)*lay.in]
-			for i, v := range in {
-				row[i] += d * v
-			}
-		}
-		if l == 0 {
-			continue
-		}
-		// Propagate delta through W and the previous ReLU.
-		prev := deltas[l-1]
-		for i := range prev {
+	for i, a := range in[:B*ind] {
+		if a <= 0 { // ReLU derivative
 			prev[i] = 0
 		}
-		for o := 0; o < lay.out; o++ {
-			d := delta[o]
-			if d == 0 {
-				continue
-			}
-			row := lay.W[o*lay.in : (o+1)*lay.in]
-			for i := range prev {
-				prev[i] += d * row[i]
-			}
-		}
-		for i := range prev {
-			if acts[l][i] <= 0 { // ReLU derivative
-				prev[i] = 0
-			}
-		}
 	}
 }
 
+// adamStep applies one Adam update. beta1 and beta2 are float64 parameters
+// on purpose: 1-beta1 and 1-beta2 are then run-time subtractions, whereas
+// untyped constants would fold to exactly 0.1 and 0.001 and move the last
+// bit of the trained weights.
 func (l *denseLayer) adamStep(g denseGrads, scale, lr, beta1, beta2, eps float64, step int) {
 	bc1 := 1 - math.Pow(beta1, float64(step))
 	bc2 := 1 - math.Pow(beta2, float64(step))
@@ -418,6 +415,9 @@ func (m *MLP) PredictBatchTo(dst []float64, X [][]float64) {
 	}
 	m.scratch.Put(s)
 }
+
+// InputWidth returns the feature width a fitted network takes.
+func (m *MLP) InputWidth() int { return m.layers[0].in }
 
 // ParamCount returns the number of trainable parameters (the paper's §7.8
 // predictor-footprint accounting: weights ≈ 14 kB).

@@ -38,7 +38,7 @@ func scalarPredict(m *MLP, x []float64) float64 {
 		acts[l+1] = make([]float64, m.layers[l].out)
 	}
 	m.scaler.TransformTo(acts[0], x)
-	m.forward(acts[0], acts)
+	m.refForward(acts[0], acts)
 	return m.targets.unscale(acts[len(acts)-1][0])
 }
 

@@ -55,3 +55,17 @@ func BenchmarkMLPPredictBatch(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkMLPFit measures training on the benchmark's duration-model shape:
+// 1,200 samples of the two-model codec's 23 features through the 3×32
+// network, 20 epochs.
+func BenchmarkMLPFit(b *testing.B) {
+	ds := synthFit(1200, 23, 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m := &MLP{Epochs: 20, LearningRate: 3e-3, Seed: 1}
+		if err := m.Fit(ds); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -39,7 +39,9 @@ func (m *MLP) MarshalJSON() ([]byte, error) {
 	return json.Marshal(st)
 }
 
-// UnmarshalJSON restores a trained MLP written by MarshalJSON.
+// UnmarshalJSON restores a trained MLP written by MarshalJSON. It refuses a
+// state that could not predict: mismatched shapes or a non-positive scale.
+// (encoding/json itself refuses NaN, ±Inf and out-of-range literals.)
 func (m *MLP) UnmarshalJSON(data []byte) error {
 	var st mlpState
 	if err := json.Unmarshal(data, &st); err != nil {
@@ -61,6 +63,11 @@ func (m *MLP) UnmarshalJSON(data []byte) error {
 	}
 	if len(st.FeatMean) != st.Dims[0] || len(st.FeatStd) != st.Dims[0] {
 		return fmt.Errorf("ml: MLP state scaler width mismatch")
+	}
+	for j, v := range st.FeatStd {
+		if !(v > 0) {
+			return fmt.Errorf("ml: MLP state feature %d std %v", j, v)
+		}
 	}
 	if st.TargetStd <= 0 {
 		return fmt.Errorf("ml: MLP state target std %v", st.TargetStd)

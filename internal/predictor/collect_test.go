@@ -1,0 +1,124 @@
+package predictor
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"math"
+	"runtime"
+	"testing"
+
+	"abacus/internal/dnn"
+	"abacus/internal/runner"
+)
+
+// sequentialCollect is the one-goroutine collection loop Collect replaced:
+// draw a group, then measure it Runs times, the noise seed counting up from
+// cfg.Seed across every measurement of the run.
+func sequentialCollect(models []dnn.ModelID, k, perCombo int, cfg SamplerConfig) []Sample {
+	s := NewSampler(cfg)
+	seed := cfg.Seed
+	var out []Sample
+	for _, combo := range Combinations(models, k) {
+		for i := 0; i < perCombo; i++ {
+			g := s.SampleGroup(combo)
+			lat := make([]float64, cfg.Runs)
+			for r := range lat {
+				seed++
+				lat[r] = Measure(g, cfg.Profile, cfg.NoiseSigma, seed)
+			}
+			var mean float64
+			for _, l := range lat {
+				mean += l
+			}
+			mean /= float64(len(lat))
+			var ss float64
+			for _, l := range lat {
+				d := l - mean
+				ss += d * d
+			}
+			std := 0.0
+			if len(lat) > 1 {
+				std = math.Sqrt(ss / float64(len(lat)))
+			}
+			out = append(out, Sample{Group: g, Latency: mean, StdDev: std})
+		}
+	}
+	return out
+}
+
+// TestCollectWidthIndependent holds Collect's samples to the sequential
+// loop bit for bit at runner widths 1 and 4: same groups in the same order,
+// same latencies and stddevs. A sequence model is in the mix so the spec
+// table's sequence-length slots are exercised too.
+func TestCollectWidthIndependent(t *testing.T) {
+	cfg := DefaultSamplerConfig()
+	cfg.Runs = 3
+	cfg.Seed = 11
+	models := []dnn.ModelID{dnn.ResNet152, dnn.InceptionV3, dnn.Bert}
+	defer runner.SetDefaultParallel(0)
+	for k := 1; k <= 2; k++ {
+		want := sequentialCollect(models, k, 12, cfg)
+		for _, width := range []int{1, 4} {
+			runner.SetDefaultParallel(width)
+			got := Collect(models, k, 12, cfg)
+			if len(got) != len(want) {
+				t.Fatalf("k=%d width %d: %d samples, want %d", k, width, len(got), len(want))
+			}
+			for i := range got {
+				g, w := got[i], want[i]
+				if fmt.Sprint(g.Group) != fmt.Sprint(w.Group) ||
+					math.Float64bits(g.Latency) != math.Float64bits(w.Latency) ||
+					math.Float64bits(g.StdDev) != math.Float64bits(w.StdDev) {
+					t.Fatalf("k=%d width %d sample %d: %+v, want %+v", k, width, i, g, w)
+				}
+			}
+		}
+	}
+}
+
+// pinnedWeightsSHA256 is the digest of the Save output of the training run
+// in TestTrainedWeightsPinned, as the per-sample trainer and sequential
+// collection loop produced it.
+const pinnedWeightsSHA256 = "e6ad076f7430ab19c137ff4eb00e1f9affeb84801ded2ab6df49caed54670868"
+
+// TestTrainedWeightsPinned trains a small run shaped like the benchmark's
+// (the §7.3 pair at co-location degrees 1 and 2, the default sampler and
+// training settings, fewer samples and epochs) and compares the SHA-256 of
+// the saved predictor with a pinned digest, so any change to sampling,
+// measurement or training arithmetic shows. It runs on amd64 only: other
+// architectures may fuse multiply-adds, which moves the low bits.
+func TestTrainedWeightsPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digest pinned on amd64; %s may fuse multiply-adds", runtime.GOARCH)
+	}
+	pair := []dnn.ModelID{dnn.ResNet152, dnn.InceptionV3}
+	var samples []Sample
+	for k := 1; k <= 2; k++ {
+		samples = append(samples, Collect(pair, k, 40, DefaultSamplerConfig())...)
+	}
+	tc := DefaultTrainConfig()
+	tc.Epochs = 30
+	p, err := Train(samples, NewCodec(), tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := p.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != pinnedWeightsSHA256 {
+		t.Errorf("trained weights digest %s, want %s", got, pinnedWeightsSHA256)
+	}
+}
+
+// BenchmarkCollect measures ground-truth collection for the benchmark's
+// pair: 100 co-located groups, each measured Runs times.
+func BenchmarkCollect(b *testing.B) {
+	pair := []dnn.ModelID{dnn.ResNet152, dnn.InceptionV3}
+	cfg := DefaultSamplerConfig()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Collect(pair, 2, 100, cfg)
+	}
+}

@@ -47,7 +47,7 @@ func FuzzCodecEncode(f *testing.F) {
 }
 
 // FuzzSamplerSeeds verifies that any seed yields structurally valid,
-// measurable groups.
+// measurable samples.
 func FuzzSamplerSeeds(f *testing.F) {
 	f.Add(int64(0))
 	f.Add(int64(1))
@@ -57,13 +57,12 @@ func FuzzSamplerSeeds(f *testing.F) {
 		cfg := DefaultSamplerConfig()
 		cfg.Seed = seed
 		cfg.Runs = 1
-		s := NewSampler(cfg)
-		g := s.SampleGroup([]dnn.ModelID{dnn.ResNet50, dnn.Bert})
-		if err := g.Validate(); err != nil {
+		sample := Collect([]dnn.ModelID{dnn.ResNet50, dnn.Bert}, 2, 1, cfg)[0]
+		if err := sample.Group.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if lat := s.MeasureSample(g).Latency; lat <= 0 {
-			t.Fatalf("seed %d: latency %v", seed, lat)
+		if sample.Latency <= 0 {
+			t.Fatalf("seed %d: latency %v", seed, sample.Latency)
 		}
 	})
 }

@@ -77,12 +77,17 @@ func (g Group) sorted() Group {
 // the makespan. With sigma > 0, seeded lognormal noise perturbs each kernel
 // launch, emulating the paper's run-to-run measurement jitter (§5.2).
 func Measure(g Group, p gpusim.Profile, sigma float64, seed int64) float64 {
-	eng := sim.NewEngine()
-	dev := gpusim.New(eng, p)
+	return MeasureOn(g, noisyDevice(p, sigma, seed), nil)
+}
+
+// noisyDevice returns an idle device on a fresh engine, with lognormal
+// per-kernel jitter sigma drawn from seed when sigma > 0.
+func noisyDevice(p gpusim.Profile, sigma float64, seed int64) *gpusim.Device {
+	dev := gpusim.New(sim.NewEngine(), p)
 	if sigma > 0 {
 		dev.EnableNoise(sigma, seed)
 	}
-	return MeasureOn(g, dev, nil)
+	return dev
 }
 
 // MeasureOn executes the group on the given idle device starting at the

@@ -44,7 +44,9 @@ func (p *Predictor) Save(w io.Writer) error {
 	return enc.Encode(st)
 }
 
-// Load restores a predictor written by Save.
+// Load restores a predictor written by Save. It refuses a state whose MLP
+// could not serve the codec it names, so a command fails at start-up rather
+// than on its first prediction.
 func Load(r io.Reader) (*Predictor, error) {
 	var st predictorState
 	if err := json.NewDecoder(r).Decode(&st); err != nil {
@@ -57,12 +59,13 @@ func Load(r io.Reader) (*Predictor, error) {
 	if err := json.Unmarshal(st.MLP, mlp); err != nil {
 		return nil, err
 	}
+	codec := Codec{NumModels: st.NumModels, Slots: st.Slots}
+	if mlp.InputWidth() != codec.Width() {
+		return nil, fmt.Errorf("predictor: MLP input width %d, codec width %d", mlp.InputWidth(), codec.Width())
+	}
 	var model ml.Regressor = mlp
 	if st.LogTarget {
 		model = &logModel{inner: mlp}
 	}
-	return &Predictor{
-		codec: Codec{NumModels: st.NumModels, Slots: st.Slots},
-		model: model,
-	}, nil
+	return &Predictor{codec: codec, model: model}, nil
 }

@@ -2,6 +2,8 @@ package predictor
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -62,16 +64,59 @@ func TestSaveRejectsNonMLP(t *testing.T) {
 	}
 }
 
-func TestLoadRejectsCorrupt(t *testing.T) {
-	cases := []string{
-		"{not json",
-		`{"num_models":0,"slots":4,"mlp":{}}`,
-		`{"num_models":7,"slots":4,"mlp":{"dims":[3],"weights":[],"biases":[]}}`,
-		`{"num_models":7,"slots":4,"mlp":{"dims":[3,1],"weights":[[1,2]],"biases":[[0]]}}`,
+// validState is a loadable predictor state for the default codec (seven
+// models, four slots: 23 features) with distinctive values that the corrupt
+// cases below rewrite.
+func validState() string {
+	w := NewCodec().Width()
+	fill := func(n int, v string) string { return strings.TrimSuffix(strings.Repeat(v+",", n), ",") }
+	return fmt.Sprintf(`{"num_models":7,"slots":4,"mlp":{"dims":[%d,1],"weights":[[%s]],"biases":[[0.5]],`+
+		`"feat_mean":[%s],"feat_std":[%s],"target_mean":0.75,"target_std":2}}`,
+		w, fill(w, "0.25"), fill(w, "0.125"), fill(w, "3"))
+}
+
+func TestLoadAcceptsValidState(t *testing.T) {
+	p, err := Load(strings.NewReader(validState()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, c := range cases {
-		if _, err := Load(strings.NewReader(c)); err == nil {
-			t.Errorf("case %d: corrupt state accepted", i)
-		}
+	if lat := p.Predict(pairRes50Res152(8)); math.IsNaN(lat) || math.IsInf(lat, 0) {
+		t.Errorf("loaded model predicts %v", lat)
+	}
+}
+
+// TestLoadRejectsCorrupt holds Load to refusing every state that could not
+// serve: malformed JSON, bad geometry, an MLP narrower or wider than its
+// codec, and a scale or value that standardisation or prediction cannot
+// use. Non-finite literals are refused by encoding/json itself.
+func TestLoadRejectsCorrupt(t *testing.T) {
+	valid := validState()
+	cases := []struct{ name, state string }{
+		{"not json", "{not json"},
+		{"no models", `{"num_models":0,"slots":4,"mlp":{}}`},
+		{"no mlp", `{"num_models":7,"slots":4}`},
+		{"one dim", `{"num_models":7,"slots":4,"mlp":{"dims":[3],"weights":[],"biases":[]}}`},
+		{"weight shape", `{"num_models":7,"slots":4,"mlp":{"dims":[3,1],"weights":[[1,2]],"biases":[[0]]}}`},
+		{"input width below codec", `{"num_models":7,"slots":4,"mlp":{"dims":[3,1],"weights":[[1,2,3]],"biases":[[0]],` +
+			`"feat_mean":[0,0,0],"feat_std":[1,1,1],"target_mean":0,"target_std":1}}`},
+		{"codec wider than mlp", strings.Replace(valid, `"slots":4`, `"slots":5`, 1)},
+		{"zero feat std", strings.Replace(valid, `"feat_std":[3`, `"feat_std":[0`, 1)},
+		{"negative feat std", strings.Replace(valid, `"feat_std":[3`, `"feat_std":[-3`, 1)},
+		{"zero target std", strings.Replace(valid, `"target_std":2`, `"target_std":0`, 1)},
+		{"nan weight", strings.Replace(valid, "0.25", "NaN", 1)},
+		{"inf bias", strings.Replace(valid, "0.5", "1e999", 1)},
+		{"inf feat mean", strings.Replace(valid, "0.125", "-1e999", 1)},
+		{"inf feat std", strings.Replace(valid, `"feat_std":[3`, `"feat_std":[1e999`, 1)},
+		{"inf target mean", strings.Replace(valid, "0.75", "1e999", 1)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if c.state == valid {
+				t.Fatal("case did not corrupt the state")
+			}
+			if _, err := Load(strings.NewReader(c.state)); err == nil {
+				t.Error("corrupt state accepted")
+			}
+		})
 	}
 }

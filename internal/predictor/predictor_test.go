@@ -89,11 +89,8 @@ func TestMeasureOverlapBeatsSequential(t *testing.T) {
 func TestGroupLatencyDeterminism(t *testing.T) {
 	cfg := DefaultSamplerConfig()
 	cfg.Runs = 20
-	s := NewSampler(cfg)
 	var ratios []float64
-	for i := 0; i < 30; i++ {
-		g := s.SampleGroup([]dnn.ModelID{dnn.ResNet101, dnn.VGG16})
-		sample := s.MeasureSample(g)
+	for i, sample := range Collect([]dnn.ModelID{dnn.ResNet101, dnn.VGG16}, 2, 30, cfg) {
 		if sample.Latency <= 0 {
 			t.Fatalf("group %d latency %v", i, sample.Latency)
 		}

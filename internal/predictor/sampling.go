@@ -2,11 +2,12 @@ package predictor
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"abacus/internal/dnn"
 	"abacus/internal/gpusim"
+	"abacus/internal/runner"
+	"abacus/internal/stats"
 )
 
 // Sample is one training example: an operator group and its measured
@@ -50,9 +51,8 @@ func DefaultSamplerConfig() SamplerConfig {
 // group, newly arrived queries start from operator zero, and the remaining
 // boundaries are randomized.
 type Sampler struct {
-	cfg  SamplerConfig
-	rng  *rand.Rand
-	seed int64
+	cfg SamplerConfig
+	rng *rand.Rand
 }
 
 // NewSampler returns a sampler with the given configuration.
@@ -60,7 +60,7 @@ func NewSampler(cfg SamplerConfig) *Sampler {
 	if cfg.Runs <= 0 {
 		cfg.Runs = 1
 	}
-	return &Sampler{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), seed: cfg.Seed}
+	return &Sampler{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
 // SampleGroup draws one operator group over the given co-located models.
@@ -112,44 +112,31 @@ func (s *Sampler) randomBatch(m *dnn.Model) int {
 	return batches[s.rng.Intn(len(batches))]
 }
 
-// MeasureSample measures a group Runs times with fresh noise seeds and
-// returns the sample with mean and stddev.
-func (s *Sampler) MeasureSample(g Group) Sample {
-	lat := make([]float64, s.cfg.Runs)
-	for r := range lat {
-		s.seed++
-		lat[r] = Measure(g, s.cfg.Profile, s.cfg.NoiseSigma, s.seed)
-	}
-	var mean float64
-	for _, l := range lat {
-		mean += l
-	}
-	mean /= float64(len(lat))
-	var ss float64
-	for _, l := range lat {
-		d := l - mean
-		ss += d * d
-	}
-	std := 0.0
-	if len(lat) > 1 {
-		std = math.Sqrt(ss / float64(len(lat)))
-	}
-	return Sample{Group: g, Latency: mean, StdDev: std}
-}
-
 // Collect generates and measures perCombo samples for every k-combination
 // of the given models — the paper's 2000 × C(7,2) pairwise profiling run
 // (§5.4). The same number of groups is sampled for each combination.
+//
+// Every group is drawn from the sampler's RNG first, in combination order;
+// the groups are then measured concurrently on one spec table. Sample i's
+// Runs repetitions use noise seeds cfg.Seed + i·Runs + 1 … + Runs, so the
+// samples are the same at any runner width.
 func Collect(models []dnn.ModelID, k, perCombo int, cfg SamplerConfig) []Sample {
 	s := NewSampler(cfg)
-	var out []Sample
+	var groups []Group
 	for _, combo := range Combinations(models, k) {
 		for i := 0; i < perCombo; i++ {
-			g := s.SampleGroup(combo)
-			out = append(out, s.MeasureSample(g))
+			groups = append(groups, s.SampleGroup(combo))
 		}
 	}
-	return out
+	specs := dnn.NewSpecs(s.cfg.Profile)
+	return runner.Map(len(groups), 0, func(i int) Sample {
+		lat := make([]float64, s.cfg.Runs)
+		for r := range lat {
+			seed := cfg.Seed + int64(i*s.cfg.Runs+r+1)
+			lat[r] = MeasureOn(groups[i], noisyDevice(s.cfg.Profile, s.cfg.NoiseSigma, seed), specs)
+		}
+		return Sample{Group: groups[i], Latency: stats.Mean(lat), StdDev: stats.StdDev(lat)}
+	})
 }
 
 // Combinations returns all k-element combinations of models in

@@ -1,8 +1,10 @@
 // Package runner is the deterministic worker-pool harness behind every
 // sweep in the repro: experiment tables fan their independent simulation
-// runs out over it, the capacity search probes load points through it, and
-// predictor training parallelizes sampling and cross-validation folds with
-// it.
+// runs out over it, the capacity search probes load points through it,
+// predictor.Collect measures its sampled operator groups over it, and
+// model training fans out one fit per sample set (predictor.TrainEvalEach)
+// or per cross-validation fold (ml.CrossValidate). A single MLP fit runs
+// on one goroutine.
 //
 // The contract that keeps parallel runs bit-identical to serial ones:
 //
