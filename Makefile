@@ -70,13 +70,15 @@ test-paced:
 # checks spec-table spans against the cost model bit for bit; the predictor
 # pair checks the feature codec's round trip and the sampler's groups;
 # FuzzFitBlocked holds the blocked MLP trainer to the per-sample one bit for
-# bit. `go test -fuzz` takes one target per run.
+# bit; FuzzReadTrace checks that any tracev2 file the reader accepts rewrites
+# byte for byte. `go test -fuzz` takes one target per run.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecSpan$$' -fuzztime 10s ./internal/dnn
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecEncode$$' -fuzztime 10s ./internal/predictor
 	$(GO) test -run '^$$' -fuzz '^FuzzSamplerSeeds$$' -fuzztime 10s ./internal/predictor
 	$(GO) test -run '^$$' -fuzz '^FuzzFitBlocked$$' -fuzztime 10s ./internal/ml
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 10s ./internal/workload
 
 # bench/ is a nested module: `go build ./... && go test ./...` never compile
 # it, so an internal signature change can leave tier-1 green and the

@@ -7,7 +7,7 @@
 //
 //	abacus-chaos                             # run the built-in suite
 //	abacus-chaos -scenario throttle50-degraded -assert-goodput 0.99
-//	abacus-chaos -script faults.csv -models Res152,IncepV3 -qps 40
+//	abacus-chaos -script faults.json -models Res152,IncepV3 -qps 40
 //	abacus-chaos -workload examples/workloads/flash-crowd.json -assert-goodput 0.97
 //	abacus-chaos -o report.json              # also write the -json array to a file
 package main
@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 
@@ -32,8 +33,8 @@ var fail = cli.Failer("abacus-chaos")
 func main() {
 	scenarioFlag := flag.String("scenario", "", "named built-in scenario (default: the whole suite); see -list")
 	list := flag.Bool("list", false, "list built-in scenarios and exit")
-	scriptFile := flag.String("script", "", "fault script file (JSON or CSV kind,start_ms,end_ms,magnitude[,mem]) replacing the built-ins")
-	workloadFile := flag.String("workload", "", "workload spec file (JSON or YAML, see internal/workload) driving arrivals for a -script-style run; combinable with -script faults")
+	scriptFile := flag.String("script", "", "fault script file, a JSON {\"windows\": [...]} object (see internal/chaos), replacing the built-ins")
+	workloadFile := flag.String("workload", "", "workload spec file (JSON, see internal/workload) driving arrivals for a -script-style run; combinable with -script faults")
 	modelsFlag := flag.String("models", "Res152,IncepV3", "comma-separated model names for -script runs")
 	nodes := flag.Int("nodes", 1, "per-GPU nodes for -script runs; every node hosts every model, and windows may be node-scoped")
 	qps := flag.Float64("qps", 30, "aggregate offered load for -script runs, queries per second")
@@ -147,7 +148,8 @@ func selectScenarios(name, scriptFile, workloadFile, modelsFlag string, nodes in
 				return nil, err
 			}
 			sc.Script = script
-			sc.Name = strings.TrimSuffix(scriptFile, ".csv")
+			base := filepath.Base(scriptFile)
+			sc.Name = strings.TrimSuffix(base, filepath.Ext(base))
 		}
 		if workloadFile != "" {
 			data, err := os.ReadFile(workloadFile)

@@ -79,7 +79,9 @@ func main() {
 			if err := res.WriteTimelineCSV(f); err != nil {
 				fail(err)
 			}
-			f.Close()
+			if err := f.Close(); err != nil {
+				fail(err)
+			}
 			fmt.Println("wrote", name)
 		}
 	}

@@ -26,7 +26,10 @@ import (
 	"time"
 
 	"abacus"
+	"abacus/internal/calib"
 	"abacus/internal/cli"
+	"abacus/internal/scaler"
+	"abacus/internal/server"
 	"abacus/internal/trace"
 	"abacus/internal/workload"
 )
@@ -52,7 +55,7 @@ func main() {
 	warmupMS := flag.Float64("warmup-ms", 1500, "autoscale warm-up window: a new node takes only the probe trickle for this long, virtual ms")
 	capacityQPS := flag.Float64("capacity-qps", 30, "autoscale sizing: sustainable per-node load, virtual QPS")
 	scaleIntervalMS := flag.Float64("scale-interval-ms", 1000, "autoscale control-loop observation interval, virtual ms")
-	specFile := flag.String("spec", "", "preflight a workload spec (JSON or YAML) against this deployment and print its offered-load digest before serving")
+	specFile := flag.String("spec", "", "preflight a JSON workload spec against this deployment and print its offered-load digest before serving")
 	traceOut := flag.String("trace", "", "capture every admitted-path arrival and write it as a tracev2 file on drain")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
@@ -69,7 +72,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	cfg := abacus.GatewayConfig{
+	cfg := server.Config{
 		Models:       models,
 		Nodes:        *nodesFlag,
 		Placement:    placement,
@@ -85,7 +88,7 @@ func main() {
 	if *autoscaleFlag {
 		// Nodes stays as flagged: the gateway itself rejects anything but the
 		// default (1) or exactly -min-nodes.
-		cfg.Autoscale = &abacus.AutoscaleConfig{
+		cfg.Autoscale = &scaler.Config{
 			MinNodes:    *minNodes,
 			MaxNodes:    *maxNodes,
 			CapacityQPS: *capacityQPS,
@@ -106,7 +109,7 @@ func main() {
 		cfg.Model = p
 	}
 	if *calibrate {
-		cfg.Calib = &abacus.CalibrationConfig{Seed: *calibSeed}
+		cfg.Calib = &calib.Config{Seed: *calibSeed}
 	}
 	specName := ""
 	if *specFile != "" {
@@ -136,7 +139,7 @@ func main() {
 		cfg.Capture = capture
 	}
 
-	gw, err := abacus.NewGateway(cfg)
+	gw, err := server.New(cfg)
 	if err != nil {
 		fail(err)
 	}

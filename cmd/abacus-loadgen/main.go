@@ -11,11 +11,10 @@
 //	abacus-loadgen -target http://127.0.0.1:8080 -qps 30 -seconds 10 -seed 1
 //	abacus-loadgen -spec examples/workloads/flash-crowd.json
 //	abacus-loadgen -closed -concurrency 8 -requests 500 -think-ms 200
-//	abacus-loadgen -trace arrivals.csv -no-compare     # CSV or tracev2
+//	abacus-loadgen -trace arrivals.tv2 -no-compare     # a tracev2 file
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -40,8 +39,8 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload seed")
 	speedup := flag.Float64("speedup", 0, "schedule pacing factor (0: match the gateway's)")
 	deadlineMS := flag.Float64("deadline-ms", 0, "per-request SLO override in virtual ms (0: service QoS)")
-	traceIn := flag.String("trace", "", "replay an arrival trace file (CSV or tracev2, sniffed) instead of generating Poisson load")
-	specFile := flag.String("spec", "", "compile a workload spec (JSON or YAML) into the arrival schedule instead of Poisson load")
+	traceIn := flag.String("trace", "", "replay a tracev2 arrival trace instead of generating Poisson load")
+	specFile := flag.String("spec", "", "compile a JSON workload spec into the arrival schedule instead of Poisson load")
 	closed := flag.Bool("closed", false, "closed-loop mode: keep -concurrency requests in flight")
 	concurrency := flag.Int("concurrency", 4, "closed-loop in-flight requesters")
 	requests := flag.Int("requests", 0, "closed-loop total requests (0: schedule length)")
@@ -99,28 +98,21 @@ func main() {
 	case *traceIn != "" && *specFile != "":
 		fail(fmt.Errorf("-trace and -spec are mutually exclusive"))
 	case *traceIn != "":
-		data, err := os.ReadFile(*traceIn)
+		f, err := os.Open(*traceIn)
 		if err != nil {
 			fail(err)
 		}
-		if workload.IsTraceV2(data) {
-			meta, got, err := workload.ReadTrace(bytes.NewReader(data))
-			if err != nil {
-				fail(err)
-			}
-			if meta.Services > len(models) {
-				fail(fmt.Errorf("%s spans %d services, gateway serves %d", *traceIn, meta.Services, len(models)))
-			}
-			arrivals = got
-			fmt.Printf("replaying %d arrivals from %s (tracev2 %q, seed %d)\n",
-				len(arrivals), *traceIn, meta.Name, meta.Seed)
-		} else {
-			arrivals, err = trace.ReadCSV(bytes.NewReader(data), len(models))
-			if err != nil {
-				fail(err)
-			}
-			fmt.Printf("replaying %d arrivals from %s\n", len(arrivals), *traceIn)
+		meta, got, err := workload.ReadTrace(f)
+		f.Close()
+		if err != nil {
+			fail(err)
 		}
+		if meta.Services > len(models) {
+			fail(fmt.Errorf("%s spans %d services, gateway serves %d", *traceIn, meta.Services, len(models)))
+		}
+		arrivals = got
+		fmt.Printf("replaying %d arrivals from %s (tracev2 %q, seed %d)\n",
+			len(arrivals), *traceIn, meta.Name, meta.Seed)
 	case *specFile != "":
 		data, err := os.ReadFile(*specFile)
 		if err != nil {

@@ -15,6 +15,7 @@ import (
 	"abacus"
 	"abacus/internal/cli"
 	"abacus/internal/trace"
+	"abacus/internal/workload"
 )
 
 var fail = cli.Failer("abacus-serve")
@@ -29,8 +30,8 @@ func main() {
 	predictorFile := flag.String("predictor", "", "load a trained predictor (see abacus-train -model-out)")
 	samples := flag.Int("samples", 500, "profiling samples per combination when training")
 	csvOut := flag.String("csv", "", "write per-query records to this CSV file")
-	traceIn := flag.String("trace", "", "replay an arrival trace CSV instead of generating Poisson load")
-	traceOut := flag.String("trace-out", "", "write the generated arrival trace to this CSV file")
+	traceIn := flag.String("trace", "", "replay a tracev2 arrival trace (see abacus-workload) instead of generating Poisson load")
+	traceOut := flag.String("trace-out", "", "write the arrival trace to this tracev2 file")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *version {
@@ -79,28 +80,32 @@ func main() {
 	for i, q := range sys.QoSTargets() {
 		fmt.Printf("service %-8v QoS target %.1f ms\n", models[i], q)
 	}
-	gen := trace.NewGenerator(models, *seed)
 	var arrivals []trace.Arrival
+	meta := workload.Meta{Name: "serve-poisson", Seed: *seed, DurationMS: *seconds * 1000, Services: len(models)}
 	if *traceIn != "" {
 		f, err := os.Open(*traceIn)
 		if err != nil {
 			fail(err)
 		}
-		arrivals, err = trace.ReadCSV(f, len(models))
+		meta, arrivals, err = workload.ReadTrace(f)
 		f.Close()
 		if err != nil {
 			fail(err)
 		}
-		fmt.Printf("replaying %d arrivals from %s\n", len(arrivals), *traceIn)
+		if meta.Services > len(models) {
+			fail(fmt.Errorf("%s spans %d services, the deployment serves %d", *traceIn, meta.Services, len(models)))
+		}
+		fmt.Printf("replaying %d arrivals from %s (tracev2 %q, seed %d)\n",
+			len(arrivals), *traceIn, meta.Name, meta.Seed)
 	} else {
-		arrivals = gen.Poisson(*qps, *seconds*1000)
+		arrivals = trace.NewGenerator(models, *seed).Poisson(*qps, meta.DurationMS)
 	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			fail(err)
 		}
-		if err := trace.WriteCSV(f, arrivals); err != nil {
+		if err := workload.WriteTrace(f, meta, arrivals); err != nil {
 			fail(err)
 		}
 		if err := f.Close(); err != nil {

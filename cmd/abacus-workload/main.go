@@ -28,7 +28,7 @@ var fail = cli.Failer("abacus-workload")
 
 func main() {
 	validate := flag.Bool("validate", false, "validate the spec files given as arguments: parse, bind, materialize, tracev2 round-trip")
-	specFile := flag.String("spec", "", "workload spec file (JSON or YAML) to summarize or materialize")
+	specFile := flag.String("spec", "", "JSON workload spec file to summarize or materialize")
 	summary := flag.Bool("summary", false, "print the per-service offered-load digest for -spec")
 	outFile := flag.String("o", "", "materialize -spec and write the tracev2 file here")
 	checkFile := flag.String("check", "", "verify a tracev2 file's checksum and row invariants")

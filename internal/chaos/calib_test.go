@@ -10,7 +10,7 @@ import (
 // other kinds and unknown names are rejected, and overlap detection keys on
 // kind+model so scoped windows for different models may coexist.
 func TestModelScopedWindowValidation(t *testing.T) {
-	if _, err := ParseScript([]byte(`[{"kind": "predictor_bias", "start_ms": 0, "end_ms": 10, "magnitude": 0.5, "model": "Res152"}]`)); err != nil {
+	if _, err := ParseScript([]byte(`{"windows": [{"kind": "predictor_bias", "start_ms": 0, "end_ms": 10, "magnitude": 0.5, "model": "Res152"}]}`)); err != nil {
 		t.Errorf("model-scoped predictor_bias rejected: %v", err)
 	}
 	ok := Script{Windows: []Window{

@@ -212,34 +212,32 @@ func TestScriptParsing(t *testing.T) {
 		{"kind": "gpu_throttle", "start_ms": 100, "end_ms": 200, "magnitude": 0.5, "mem": 0.8},
 		{"kind": "drop", "start_ms": 0, "end_ms": 50, "magnitude": 0.1}
 	]}`)
-	csvScript := []byte("kind,start_ms,end_ms,magnitude,mem\n" +
-		"# thermal event\n" +
-		"gpu_throttle,100,200,0.5,0.8\n" +
-		"drop,0,50,0.1\n")
-	bareArray := []byte(`[{"kind": "drop", "start_ms": 0, "end_ms": 50, "magnitude": 0.1}]`)
-
 	js, err := ParseScript(jsonScript)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := ParseScript(csvScript)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(js, cs) {
-		t.Errorf("JSON and CSV scripts parse differently:\n%+v\n%+v", js, cs)
-	}
-	if _, err := ParseScript(bareArray); err != nil {
-		t.Errorf("bare-array JSON rejected: %v", err)
+	want := Script{Windows: []Window{
+		{Kind: KindGPUThrottle, Start: 100, End: 200, Magnitude: 0.5, Mem: 0.8},
+		{Kind: KindDrop, Start: 0, End: 50, Magnitude: 0.1},
+	}}
+	if !reflect.DeepEqual(js, want) {
+		t.Errorf("parsed %+v, want %+v", js, want)
 	}
 
+	window := func(w string) string { return `{"windows": [` + w + `]}` }
 	for name, bad := range map[string]string{
-		"unknown kind":     "warp_drive,0,10,0.5",
-		"backward window":  "drop,10,5,0.5",
-		"probability > 1":  "drop,0,10,1.5",
-		"zero throttle":    "gpu_throttle,0,10,0",
-		"noise >= 1":       "predictor_noise,0,10,1",
-		"overlapping kind": "drop,0,10,0.5\ndrop,5,15,0.5",
+		"unknown kind":     window(`{"kind": "warp_drive", "start_ms": 0, "end_ms": 10, "magnitude": 0.5}`),
+		"backward window":  window(`{"kind": "drop", "start_ms": 10, "end_ms": 5, "magnitude": 0.5}`),
+		"probability > 1":  window(`{"kind": "drop", "start_ms": 0, "end_ms": 10, "magnitude": 1.5}`),
+		"zero throttle":    window(`{"kind": "gpu_throttle", "start_ms": 0, "end_ms": 10, "magnitude": 0}`),
+		"noise >= 1":       window(`{"kind": "predictor_noise", "start_ms": 0, "end_ms": 10, "magnitude": 1}`),
+		"overlapping kind": window(`{"kind": "drop", "start_ms": 0, "end_ms": 10, "magnitude": 0.5}, {"kind": "drop", "start_ms": 5, "end_ms": 15, "magnitude": 0.5}`),
+		"misspelt key":     window(`{"kind": "drop", "start_ms": 0, "end_ms": 10, "probability": 0.1}`),
+		"misspelt node":    window(`{"kind": "gpu_throttle", "start_ms": 0, "end_ms": 10, "magnitude": 0.5, "node_id": 2}`),
+		"unknown top key":  `{"windows": [], "seed": 3}`,
+		"trailing data":    string(jsonScript) + " trailing junk",
+		"bare array":       `[{"kind": "drop", "start_ms": 0, "end_ms": 50, "magnitude": 0.1}]`,
+		"csv rows":         "kind,start_ms,end_ms,magnitude\ndrop,0,50,0.1\n",
 		"empty":            "   ",
 	} {
 		if _, err := ParseScript([]byte(bad)); err == nil {

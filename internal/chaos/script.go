@@ -9,13 +9,11 @@
 package chaos
 
 import (
-	"encoding/csv"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"strings"
 
 	"abacus/internal/dnn"
 )
@@ -67,7 +65,7 @@ type Window struct {
 	// Model, for KindPredictorBias only, scopes the bias to one model's
 	// predictions (short name as printed by dnn.ModelID.String, e.g.
 	// "Res152") — the shape of a predictor mistrained for a single service.
-	// Empty biases every prediction. JSON scripts only.
+	// Empty biases every prediction.
 	Model string `json:"model,omitempty"`
 	// Node scopes a device fault (gpu_throttle, launch_stall) or predictor
 	// fault (predictor_bias, predictor_noise) to one node of a cluster
@@ -75,7 +73,7 @@ type Window struct {
 	// event, and the healthy replicas must not see it. Default 0 targets
 	// the first node, which is also the only node of single-node runs.
 	// Request faults (drop, duplicate, malformed) happen before routing, so
-	// they cannot be node-scoped. JSON scripts only.
+	// they cannot be node-scoped.
 	Node int `json:"node,omitempty"`
 }
 
@@ -185,73 +183,21 @@ func (s Script) active(kind string, t float64) (Window, bool) {
 	return Window{}, false
 }
 
-// ParseScript reads a fault script from JSON (an object with a "windows"
-// array, or a bare array of windows) or CSV
-// ("kind,start_ms,end_ms,magnitude[,mem]" rows, # comments allowed),
-// sniffing the format from the first non-space byte.
+// ParseScript reads a fault script: a JSON object with a "windows" array.
+// Decoding is strict — an unknown field or any data after the object is an
+// error — so a misspelt key cannot silently become a no-op fault.
 func ParseScript(data []byte) (Script, error) {
-	trimmed := strings.TrimSpace(string(data))
-	if trimmed == "" {
-		return Script{}, fmt.Errorf("chaos: empty fault script")
-	}
 	var s Script
-	switch trimmed[0] {
-	case '{':
-		if err := json.Unmarshal([]byte(trimmed), &s); err != nil {
-			return Script{}, fmt.Errorf("chaos: parsing JSON script: %w", err)
-		}
-	case '[':
-		if err := json.Unmarshal([]byte(trimmed), &s.Windows); err != nil {
-			return Script{}, fmt.Errorf("chaos: parsing JSON script: %w", err)
-		}
-	default:
-		ws, err := parseCSVScript(trimmed)
-		if err != nil {
-			return Script{}, err
-		}
-		s.Windows = ws
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
+		return Script{}, fmt.Errorf("chaos: parsing fault script (scripts are JSON): %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Script{}, fmt.Errorf("chaos: data after the JSON fault script")
 	}
 	if err := s.Validate(); err != nil {
 		return Script{}, err
 	}
 	return s, nil
-}
-
-func parseCSVScript(text string) ([]Window, error) {
-	r := csv.NewReader(strings.NewReader(text))
-	r.Comment = '#'
-	r.FieldsPerRecord = -1
-	r.TrimLeadingSpace = true
-	var out []Window
-	line := 0
-	for {
-		rec, err := r.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("chaos: parsing CSV script: %w", err)
-		}
-		line++
-		if line == 1 && strings.EqualFold(rec[0], "kind") {
-			continue // header row
-		}
-		if len(rec) < 4 || len(rec) > 5 {
-			return nil, fmt.Errorf("chaos: CSV row %d has %d fields, want kind,start_ms,end_ms,magnitude[,mem]", line, len(rec))
-		}
-		w := Window{Kind: strings.TrimSpace(rec[0])}
-		fields := []*float64{&w.Start, &w.End, &w.Magnitude, &w.Mem}
-		for i, dst := range fields[:len(rec)-1] {
-			v, err := strconv.ParseFloat(strings.TrimSpace(rec[i+1]), 64)
-			if err != nil {
-				return nil, fmt.Errorf("chaos: CSV row %d field %d: %w", line, i+2, err)
-			}
-			*dst = v
-		}
-		out = append(out, w)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("chaos: CSV script has no fault windows")
-	}
-	return out, nil
 }

@@ -23,9 +23,7 @@ var stackParts = map[string]string{
 
 // stackPartsAllowed maps "file: pkg.Func" (file relative to the module
 // root) to why that file builds the part itself.
-var stackPartsAllowed = map[string]string{
-	"calib.go: calib.NewCalibrated": "the public facade wraps a library user's own model",
-}
+var stackPartsAllowed = map[string]string{}
 
 // TestOneNodeStack scans every non-test Go file of the root module (bench/
 // is its own module) for references to a stack part outside internal/fleet.

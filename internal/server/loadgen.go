@@ -1,7 +1,7 @@
 // Load generation against a live gateway: an open-loop mode that replays a
 // trace.Arrival schedule paced against the wall clock (the MLPerf-style
-// Poisson generator of §7.1, or a CSV trace), and a closed-loop mode with a
-// fixed number of in-flight requesters. Because trace.Generator is
+// Poisson generator of §7.1, or a tracev2 replay), and a closed-loop mode
+// with a fixed number of in-flight requesters. Because trace.Generator is
 // deterministic per seed, the same seed drives both the live run and the
 // offline simulator, making the paper's core claim — predicted latency ≈
 // delivered latency — testable over a socket via OfflineBaseline.

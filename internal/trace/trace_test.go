@@ -1,11 +1,9 @@
 package trace
 
 import (
-	"bytes"
 	"math"
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
 
 	"abacus/internal/dnn"
@@ -189,57 +187,6 @@ func TestMAFPanics(t *testing.T) {
 		}
 	}()
 	g.MAF(MAFConfig{BaseQPS: 0, DurationMS: 100})
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	g := NewGenerator(models(), 9)
-	arrivals := g.Poisson(80, 5000)
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, arrivals); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(arrivals) {
-		t.Fatalf("round trip %d != %d arrivals", len(got), len(arrivals))
-	}
-	for i := range arrivals {
-		if got[i] != arrivals[i] {
-			t.Fatalf("arrival %d: %+v != %+v", i, got[i], arrivals[i])
-		}
-	}
-}
-
-func TestReadCSVRejectsCorrupt(t *testing.T) {
-	cases := map[string]string{
-		"empty":        "",
-		"bad-header":   "a,b,c,d\n",
-		"bad-number":   "time_ms,service,batch,seqlen\nxx,0,4,0\n",
-		"neg-time":     "time_ms,service,batch,seqlen\n-5,0,4,0\n",
-		"bad-service":  "time_ms,service,batch,seqlen\n1,9,4,0\n",
-		"zero-batch":   "time_ms,service,batch,seqlen\n1,0,0,0\n",
-		"short-fields": "time_ms,service,batch,seqlen\n1,0\n",
-	}
-	for name, body := range cases {
-		t.Run(name, func(t *testing.T) {
-			if _, err := ReadCSV(strings.NewReader(body), 2); err == nil {
-				t.Error("corrupt trace accepted")
-			}
-		})
-	}
-}
-
-func TestReadCSVSortsByTime(t *testing.T) {
-	body := "time_ms,service,batch,seqlen\n5,0,4,0\n1,0,8,0\n3,1,4,8\n"
-	got, err := ReadCSV(strings.NewReader(body), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i].Time < got[j].Time }) {
-		t.Errorf("not sorted: %+v", got)
-	}
 }
 
 // TestMAFBurstKnobOrthogonal pins the stream split: the burst coin draws

@@ -1,5 +1,5 @@
 // Package workload is the declarative workload-spec engine: it compiles a
-// JSON (or YAML-subset) spec into a deterministic arrival source. A spec
+// JSON spec into a deterministic arrival source. A spec
 // composes per-service rate *phases* over a timeline (constant, ramp,
 // sinusoid, step, flash crowd) with a pluggable inter-arrival *process*
 // (Poisson, Gamma, Pareto heavy-tail, MMPP-style bursty on/off) and optional
@@ -15,9 +15,10 @@
 package workload
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"strings"
+	"io"
 )
 
 // Phase kinds.
@@ -185,36 +186,17 @@ type ThinkSpec struct {
 // merge state (16 bytes a client) stops being a rounding error.
 const maxCohortClients = 2_000_000
 
-// Parse decodes a spec from JSON or the YAML subset (sniffed from the first
-// non-space byte) and validates it.
+// Parse decodes a JSON spec strictly — an unknown field or any data after
+// the object is an error — and validates it.
 func Parse(data []byte) (*Spec, error) {
-	trimmed := strings.TrimSpace(string(data))
-	if trimmed == "" {
-		return nil, fmt.Errorf("workload: empty spec")
-	}
 	var s Spec
-	if trimmed[0] == '{' {
-		dec := json.NewDecoder(strings.NewReader(trimmed))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&s); err != nil {
-			return nil, fmt.Errorf("workload: parsing JSON spec: %w", err)
-		}
-	} else {
-		v, err := parseYAML(trimmed)
-		if err != nil {
-			return nil, fmt.Errorf("workload: parsing YAML spec: %w", err)
-		}
-		// Round-trip through JSON so the YAML subset shares the struct tags
-		// (and the unknown-field check) with the JSON path.
-		blob, err := json.Marshal(v)
-		if err != nil {
-			return nil, fmt.Errorf("workload: encoding YAML spec: %w", err)
-		}
-		dec := json.NewDecoder(strings.NewReader(string(blob)))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&s); err != nil {
-			return nil, fmt.Errorf("workload: parsing YAML spec: %w", err)
-		}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
+		return nil, fmt.Errorf("workload: parsing spec (specs are JSON): %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("workload: data after the JSON spec")
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err

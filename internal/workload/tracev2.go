@@ -1,11 +1,12 @@
-// tracev2 is the replayable arrival-trace file format. Unlike the bare CSV
-// in internal/trace, tracev2 carries a version line, provenance metadata
-// (workload name, seed, duration, service count) and a trailing FNV-64a
-// checksum over everything before it, so a replay can refuse corrupted or
-// truncated files and a round trip (generate → write → read → write) is
-// byte-identical. The body stays the same CSV schema as WriteCSV so rows are
-// greppable and hand-editable (at the cost of re-deriving the checksum with
-// abacus-workload).
+// tracev2 is the repository's one arrival-trace file format: every tool
+// that writes or replays arrivals goes through WriteTrace and ReadTrace. A
+// file carries a version line, provenance metadata (workload name, seed,
+// duration, service count) and a trailing FNV-64a checksum over everything
+// before it, so a replay can refuse corrupted or truncated files. Every
+// field has one canonical spelling, which ReadTrace insists on, so a round
+// trip (generate → write → read → write) is byte-identical. The body is
+// plain CSV so rows are greppable and hand-editable (at the cost of
+// re-deriving the checksum with abacus-workload).
 //
 // Layout:
 //
@@ -32,8 +33,9 @@ import (
 )
 
 const (
-	tracev2Magic = "#tracev2 v1"
-	tracev2Sum   = "#fnv64a="
+	tracev2Magic  = "#tracev2 v1"
+	tracev2Header = "time_ms,service,batch,seqlen"
+	tracev2Sum    = "#fnv64a="
 )
 
 // Meta is a trace file's provenance header.
@@ -49,12 +51,6 @@ type Meta struct {
 	Services int
 }
 
-// IsTraceV2 sniffs whether data starts with the tracev2 magic (for CLIs that
-// accept both tracev2 and legacy CSV).
-func IsTraceV2(data []byte) bool {
-	return strings.HasPrefix(strings.TrimPrefix(string(data), "\ufeff"), tracev2Magic)
-}
-
 // WriteTrace writes arrivals as a tracev2 file. Times are formatted
 // canonically (shortest round-trip float), which is what makes
 // write→read→write reproduce the file byte for byte.
@@ -67,25 +63,14 @@ func WriteTrace(w io.Writer, meta Meta, arrivals []trace.Arrival) error {
 	}
 	h := fnv.New64a()
 	bw := bufio.NewWriter(io.MultiWriter(w, h))
-	fmt.Fprintf(bw, "%s\n", tracev2Magic)
-	fmt.Fprintf(bw, "#meta name=%s seed=%d duration_ms=%s services=%d\n",
-		url.QueryEscape(meta.Name), meta.Seed,
-		strconv.FormatFloat(meta.DurationMS, 'f', -1, 64), meta.Services)
-	fmt.Fprintln(bw, "time_ms,service,batch,seqlen")
+	fmt.Fprintf(bw, "%s\n%s\n%s\n", tracev2Magic, metaLine(meta), tracev2Header)
 	prev := 0.0
 	for i, a := range arrivals {
-		if a.Time < prev {
-			return fmt.Errorf("workload: tracev2 arrival %d goes back in time (%v after %v)", i, a.Time, prev)
-		}
-		if a.Time >= meta.DurationMS {
-			return fmt.Errorf("workload: tracev2 arrival %d at %v past duration %v", i, a.Time, meta.DurationMS)
-		}
-		if a.Service < 0 || a.Service >= meta.Services {
-			return fmt.Errorf("workload: tracev2 arrival %d service %d outside [0, %d)", i, a.Service, meta.Services)
+		if err := checkArrival(meta, prev, a); err != nil {
+			return fmt.Errorf("workload: tracev2 arrival %d %w", i, err)
 		}
 		prev = a.Time
-		fmt.Fprintf(bw, "%s,%d,%d,%d\n",
-			strconv.FormatFloat(a.Time, 'f', -1, 64), a.Service, a.Input.Batch, a.Input.SeqLen)
+		fmt.Fprintf(bw, "%s\n", rowLine(a))
 	}
 	if err := bw.Flush(); err != nil {
 		return err
@@ -95,8 +80,39 @@ func WriteTrace(w io.Writer, meta Meta, arrivals []trace.Arrival) error {
 	return err
 }
 
+func metaLine(m Meta) string {
+	return fmt.Sprintf("#meta name=%s seed=%d duration_ms=%s services=%d",
+		url.QueryEscape(m.Name), m.Seed, strconv.FormatFloat(m.DurationMS, 'f', -1, 64), m.Services)
+}
+
+func rowLine(a trace.Arrival) string {
+	return fmt.Sprintf("%s,%d,%d,%d",
+		strconv.FormatFloat(a.Time, 'f', -1, 64), a.Service, a.Input.Batch, a.Input.SeqLen)
+}
+
+// checkArrival holds one arrival, following one at prev, to the row
+// invariants both directions enforce. The comparisons are written so that a
+// NaN time fails them.
+func checkArrival(meta Meta, prev float64, a trace.Arrival) error {
+	switch {
+	case !(a.Time >= prev):
+		return fmt.Errorf("time %v does not follow %v", a.Time, prev)
+	case !(a.Time < meta.DurationMS):
+		return fmt.Errorf("time %v past duration %v", a.Time, meta.DurationMS)
+	case a.Service < 0 || a.Service >= meta.Services:
+		return fmt.Errorf("service %d outside [0, %d)", a.Service, meta.Services)
+	case a.Input.Batch < 1:
+		return fmt.Errorf("batch %d invalid", a.Input.Batch)
+	case a.Input.SeqLen < 0:
+		return fmt.Errorf("seqlen %d negative", a.Input.SeqLen)
+	}
+	return nil
+}
+
 // ReadTrace parses and verifies a tracev2 file: magic, metadata, checksum,
-// row sanity (sorted times inside the horizon, valid service indices).
+// row sanity (sorted times inside the horizon, valid service indices). It
+// accepts exactly the bytes WriteTrace would write for the file's contents,
+// so any file it reads rewrites byte for byte.
 func ReadTrace(r io.Reader) (Meta, []trace.Arrival, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -110,27 +126,24 @@ func ReadTrace(r io.Reader) (Meta, []trace.Arrival, error) {
 	if sumAt < 0 {
 		return Meta{}, nil, fmt.Errorf("workload: tracev2 file has no %s checksum line (truncated?)", strings.TrimSuffix(tracev2Sum, "="))
 	}
-	sumLine := strings.TrimSpace(src[sumAt+len(tracev2Sum):])
-	want, err := strconv.ParseUint(sumLine, 16, 64)
-	if err != nil {
-		return Meta{}, nil, fmt.Errorf("workload: tracev2 checksum line malformed: %q", sumLine)
-	}
+	body := src[:sumAt]
 	h := fnv.New64a()
-	h.Write([]byte(src[:sumAt]))
-	if got := h.Sum64(); got != want {
-		return Meta{}, nil, fmt.Errorf("workload: tracev2 checksum mismatch: file says %016x, content hashes to %016x", want, got)
+	h.Write([]byte(body))
+	if want := fmt.Sprintf("%s%016x\n", tracev2Sum, h.Sum64()); src[sumAt:] != want {
+		return Meta{}, nil, fmt.Errorf("workload: tracev2 checksum line %q does not match the content's %q",
+			strings.TrimSpace(src[sumAt:]), strings.TrimSpace(want))
 	}
 
-	lines := strings.Split(strings.TrimRight(src[:sumAt], "\n"), "\n")
+	lines := strings.Split(strings.TrimSuffix(body, "\n"), "\n")
 	// lines[0] is the magic; next comes #meta, then the CSV header.
-	if len(lines) < 3 {
-		return Meta{}, nil, fmt.Errorf("workload: tracev2 file too short")
+	if len(lines) < 3 || !strings.HasSuffix(body, "\n") {
+		return Meta{}, nil, fmt.Errorf("workload: tracev2 file too short or not newline-terminated")
 	}
 	meta, err := parseMeta(lines[1])
 	if err != nil {
 		return Meta{}, nil, err
 	}
-	if lines[2] != "time_ms,service,batch,seqlen" {
+	if lines[2] != tracev2Header {
 		return Meta{}, nil, fmt.Errorf("workload: tracev2 unexpected column header %q", lines[2])
 	}
 	arrivals := make([]trace.Arrival, 0, len(lines)-3)
@@ -144,44 +157,25 @@ func ReadTrace(r io.Reader) (Meta, []trace.Arrival, error) {
 		svc, err2 := strconv.Atoi(f[1])
 		batch, err3 := strconv.Atoi(f[2])
 		seq, err4 := strconv.Atoi(f[3])
-		if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
+		a := trace.Arrival{Time: t, Service: svc, Input: dnn.Input{Batch: batch, SeqLen: seq}}
+		if err1 != nil || err2 != nil || err3 != nil || err4 != nil || rowLine(a) != ln {
 			return Meta{}, nil, fmt.Errorf("workload: tracev2 row %d malformed: %q", i+1, ln)
 		}
-		if t < prev {
-			return Meta{}, nil, fmt.Errorf("workload: tracev2 row %d goes back in time (%v after %v)", i+1, t, prev)
-		}
-		if t >= meta.DurationMS {
-			return Meta{}, nil, fmt.Errorf("workload: tracev2 row %d time %v past duration %v", i+1, t, meta.DurationMS)
-		}
-		if svc < 0 || svc >= meta.Services {
-			return Meta{}, nil, fmt.Errorf("workload: tracev2 row %d service %d outside [0, %d)", i+1, svc, meta.Services)
-		}
-		if batch < 1 {
-			return Meta{}, nil, fmt.Errorf("workload: tracev2 row %d batch %d invalid", i+1, batch)
+		if err := checkArrival(meta, prev, a); err != nil {
+			return Meta{}, nil, fmt.Errorf("workload: tracev2 row %d %w", i+1, err)
 		}
 		prev = t
-		arrivals = append(arrivals, trace.Arrival{
-			Time: t, Service: svc, Input: dnn.Input{Batch: batch, SeqLen: seq},
-		})
+		arrivals = append(arrivals, a)
 	}
 	return meta, arrivals, nil
 }
 
+// parseMeta reads the #meta line; any spelling other than metaLine's is
+// rejected, which also covers a missing, repeated or unknown field.
 func parseMeta(line string) (Meta, error) {
-	if !strings.HasPrefix(line, "#meta ") {
-		return Meta{}, fmt.Errorf("workload: tracev2 missing #meta line, got %q", line)
-	}
-	m := Meta{}
-	seen := map[string]bool{}
-	for _, kv := range strings.Fields(line[len("#meta "):]) {
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			return Meta{}, fmt.Errorf("workload: tracev2 meta field %q is not key=value", kv)
-		}
-		if seen[k] {
-			return Meta{}, fmt.Errorf("workload: tracev2 meta repeats %q", k)
-		}
-		seen[k] = true
+	var m Meta
+	for _, kv := range strings.Fields(strings.TrimPrefix(line, "#meta ")) {
+		k, v, _ := strings.Cut(kv, "=")
 		var err error
 		switch k {
 		case "name":
@@ -192,20 +186,16 @@ func parseMeta(line string) (Meta, error) {
 			m.DurationMS, err = strconv.ParseFloat(v, 64)
 		case "services":
 			m.Services, err = strconv.Atoi(v)
-		default:
-			return Meta{}, fmt.Errorf("workload: tracev2 meta has unknown field %q", k)
 		}
 		if err != nil {
 			return Meta{}, fmt.Errorf("workload: tracev2 meta field %s: %w", k, err)
 		}
 	}
-	for _, k := range []string{"name", "seed", "duration_ms", "services"} {
-		if !seen[k] {
-			return Meta{}, fmt.Errorf("workload: tracev2 meta missing %q", k)
-		}
-	}
 	if m.Services <= 0 || !(m.DurationMS > 0) {
 		return Meta{}, fmt.Errorf("workload: tracev2 meta out of range (services=%d duration_ms=%v)", m.Services, m.DurationMS)
+	}
+	if want := metaLine(m); line != want {
+		return Meta{}, fmt.Errorf("workload: tracev2 meta line %q, want %q", line, want)
 	}
 	return m, nil
 }
