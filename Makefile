@@ -1,9 +1,11 @@
-# Developer entry points. `make ci` is the full gate: build, vet (both
-# modules), format and go.mod tidiness checks, the benchmark module's
-# self-test, the test suite under the race detector (the concurrent sweep
-# harness in internal/runner makes -race load-bearing), and a short budget
-# on every fuzz target. CI layers the targets into lanes: the fast PR lane
-# runs build+vet+fmt-check+tidy-check+bench-check+short tests, the full lane
+# Developer entry points. The repository's one command is ./cmd/abacus
+# (`go run ./cmd/abacus <command>`); the chaos and workload targets drive it.
+# `make ci` is the full gate: build, vet (both modules), format and go.mod
+# tidiness checks, the benchmark module's self-test, the test suite under
+# the race detector (the concurrent sweep harness in internal/runner makes
+# -race load-bearing), and a short budget on every fuzz target. CI layers
+# the targets into lanes: the fast PR lane runs
+# build+vet+fmt-check+tidy-check+bench-check+short tests, the full lane
 # runs `make ci`, and separate lanes run lint (staticcheck) and the
 # benchmarks + chaos scenarios.
 
@@ -99,19 +101,19 @@ bench:
 # fault-driven migration: one of four nodes throttled to half speed must not
 # pull cluster goodput below the same floor.
 chaos:
-	$(GO) run ./cmd/abacus-chaos
-	$(GO) run ./cmd/abacus-chaos -scenario throttle50-degraded -assert-goodput 0.99
-	$(GO) run ./cmd/abacus-chaos -scenario cluster-node-throttle -assert-goodput 0.99
-	$(GO) run ./cmd/abacus-chaos -scenario flash-crowd -assert-goodput 0.99
-	$(GO) run ./cmd/abacus-chaos -scenario heavy-tail -assert-goodput 0.99
-	$(GO) run ./cmd/abacus-chaos -scenario diurnal-ramp -assert-goodput 0.98
-	$(GO) run ./cmd/abacus-chaos -scenario diurnal-autoscale -assert-goodput 0.98
+	$(GO) run ./cmd/abacus chaos
+	$(GO) run ./cmd/abacus chaos -scenario throttle50-degraded -assert-goodput 0.99
+	$(GO) run ./cmd/abacus chaos -scenario cluster-node-throttle -assert-goodput 0.99
+	$(GO) run ./cmd/abacus chaos -scenario flash-crowd -assert-goodput 0.99
+	$(GO) run ./cmd/abacus chaos -scenario heavy-tail -assert-goodput 0.99
+	$(GO) run ./cmd/abacus chaos -scenario diurnal-ramp -assert-goodput 0.98
+	$(GO) run ./cmd/abacus chaos -scenario diurnal-autoscale -assert-goodput 0.98
 
 # Validate every example workload spec: parse, bind against the model zoo,
 # materialize, and a tracev2 write→read→write round trip that must be
 # byte-identical.
 workload:
-	$(GO) run ./cmd/abacus-workload -validate examples/workloads/*
+	$(GO) run ./cmd/abacus workload -validate examples/workloads/*
 
 # Run the executable examples that double as end-to-end smoke tests; the
 # autoscale example drives the live elastic scaler through a full diurnal

@@ -40,11 +40,6 @@ import (
 	"abacus/internal/trace"
 )
 
-// SetParallel sets the default worker count used by the concurrent sweeps
-// (experiments, capacity search, training). n <= 0 restores GOMAXPROCS.
-// Results are identical at any setting; see internal/runner.
-func SetParallel(n int) { runner.SetDefaultParallel(n) }
-
 // Model identifies one of the seven serving models from the paper's
 // Table 1.
 type Model = dnn.ModelID
@@ -293,7 +288,7 @@ func RunExperiment(id string, quick bool, w io.Writer) error {
 func ExperimentIDs() []string { return experiments.IDs() }
 
 // LoadPredictor restores a predictor written by (*Predictor).Save — the
-// artifact abacus-train persists with -model-out.
+// artifact abacus train persists with -model-out.
 func LoadPredictor(r io.Reader) (*Predictor, error) {
 	return predictor.Load(r)
 }

@@ -123,6 +123,37 @@ func TestMaxMinInput(t *testing.T) {
 	}
 }
 
+func TestCheckInput(t *testing.T) {
+	for _, m := range All() {
+		for _, in := range []Input{m.MinInput(), m.MaxInput()} {
+			if err := m.CheckInput(in); err != nil {
+				t.Errorf("%s rejects its own envelope input %+v: %v", m.Name, in, err)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { _ = m.CheckInput(in) }); allocs != 0 {
+				t.Errorf("%s: served input costs %.0f allocs", m.Name, allocs)
+			}
+		}
+	}
+	cases := []struct {
+		model ModelID
+		in    Input
+		want  string
+	}{
+		{ResNet50, Input{Batch: 3}, "batch 3 outside served range [4, 32]"},
+		{ResNet50, Input{Batch: 33}, "batch 33 outside served range [4, 32]"},
+		{ResNet50, Input{Batch: 8, SeqLen: 8}, `model "Res50" takes no sequence length`},
+		{Bert, Input{Batch: 8}, "seqlen 0 not served (allowed [8 16 32 64])"},
+		{Bert, Input{Batch: 8, SeqLen: 7}, "seqlen 7 not served (allowed [8 16 32 64])"},
+		{Bert, Input{Batch: 64, SeqLen: 8}, "batch 64 outside served range [4, 32]"},
+	}
+	for _, tc := range cases {
+		err := Get(tc.model).CheckInput(tc.in)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%v %+v: got %v, want %q", tc.model, tc.in, err, tc.want)
+		}
+	}
+}
+
 func TestCostEval(t *testing.T) {
 	c := Cost{C0: 1, C1: 2, C2: 3}
 	got := c.Eval(Input{Batch: 2, SeqLen: 4})

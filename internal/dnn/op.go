@@ -170,6 +170,29 @@ func (m *Model) MinInput() Input {
 	return in
 }
 
+// CheckInput reports why in lies outside the model's served envelope (paper
+// Table 1: a batch in MinBatch..MaxBatch and, for sequence models, one of
+// SeqLens; other models take no sequence length), or nil when it is served.
+// Every front end that accepts inputs from outside the program checks them
+// here. An input that is served costs no allocation.
+func (m *Model) CheckInput(in Input) error {
+	if in.Batch < m.MinBatch || in.Batch > m.MaxBatch {
+		return fmt.Errorf("batch %d outside served range [%d, %d]", in.Batch, m.MinBatch, m.MaxBatch)
+	}
+	if !m.IsSequence() {
+		if in.SeqLen != 0 {
+			return fmt.Errorf("model %q takes no sequence length", m.Name)
+		}
+		return nil
+	}
+	for _, sl := range m.SeqLens {
+		if in.SeqLen == sl {
+			return nil
+		}
+	}
+	return fmt.Errorf("seqlen %d not served (allowed %v)", in.SeqLen, m.SeqLens)
+}
+
 // ValidateTopology checks that Preds edges respect the topological order and
 // index range. The model builders guarantee this; tests call it as an
 // invariant.

@@ -1,6 +1,7 @@
 package dnn
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"abacus/internal/gpusim"
@@ -75,20 +76,12 @@ func (r *specRow) fill(i int, in Input, p gpusim.Profile) *[]gpusim.KernelSpec {
 
 // specSlot returns in's index within m's served domain, or -1 outside it.
 func specSlot(m *Model, in Input) int {
-	if in.Batch < m.MinBatch || in.Batch > m.MaxBatch {
+	if m.CheckInput(in) != nil {
 		return -1
 	}
 	b := in.Batch - m.MinBatch
 	if !m.IsSequence() {
-		if in.SeqLen != 0 {
-			return -1
-		}
 		return b
 	}
-	for j, sl := range m.SeqLens {
-		if sl == in.SeqLen {
-			return b*len(m.SeqLens) + j
-		}
-	}
-	return -1
+	return b*len(m.SeqLens) + slices.Index(m.SeqLens, in.SeqLen)
 }

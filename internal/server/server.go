@@ -106,7 +106,7 @@ type Config struct {
 	// Capture, when non-nil, records every validated, non-duplicate arrival
 	// the gateway sees (virtual time, global service index, input) — a live
 	// session becomes a replayable schedule that tracev2 can persist
-	// byte-identically (see cmd/abacus-gateway -trace). Recording happens on
+	// byte-identically (see abacus gateway -trace-out). Recording happens on
 	// the owning node's loop goroutine at admission time, so captured times
 	// are the exact virtual instants admission reasoned about.
 	Capture *trace.Capture
@@ -813,26 +813,9 @@ func (s *Server) validate(req *WireRequest) (int, dnn.Input, error) {
 	if !ok {
 		return 0, dnn.Input{}, fmt.Errorf("model %q not deployed", req.Model)
 	}
-	m := dnn.Get(s.cfg.Models[idx])
-	if req.Batch < m.MinBatch || req.Batch > m.MaxBatch {
-		return 0, dnn.Input{}, fmt.Errorf("batch %d outside served range [%d, %d]",
-			req.Batch, m.MinBatch, m.MaxBatch)
-	}
-	in := dnn.Input{Batch: req.Batch}
-	if m.IsSequence() {
-		ok := false
-		for _, sl := range m.SeqLens {
-			if req.SeqLen == sl {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return 0, dnn.Input{}, fmt.Errorf("seqlen %d not served (allowed %v)", req.SeqLen, m.SeqLens)
-		}
-		in.SeqLen = req.SeqLen
-	} else if req.SeqLen != 0 {
-		return 0, dnn.Input{}, fmt.Errorf("model %q takes no sequence length", req.Model)
+	in := dnn.Input{Batch: req.Batch, SeqLen: req.SeqLen}
+	if err := dnn.Get(s.cfg.Models[idx]).CheckInput(in); err != nil {
+		return 0, dnn.Input{}, err
 	}
 	if req.DeadlineMS < 0 {
 		return 0, dnn.Input{}, fmt.Errorf("negative deadline %v", req.DeadlineMS)

@@ -95,20 +95,28 @@ func TestInferCompletesUnderLightLoad(t *testing.T) {
 func TestInferRejectsBadRequests(t *testing.T) {
 	_, c := newTestServer(t, Config{Models: []dnn.ModelID{dnn.ResNet50, dnn.Bert}, Speedup: 1000})
 	ctx := context.Background()
-	cases := []InferRequest{
-		{Model: "VGG16", Batch: 8},            // not deployed
-		{Model: "Res50", Batch: 0},            // batch out of range
-		{Model: "Res50", Batch: 8, SeqLen: 8}, // seqlen on a CV model
-		{Model: "Bert", Batch: 8, SeqLen: 7},  // seqlen not served
-		{Model: "Res50", Batch: 8, DeadlineMS: -1},
+	cases := []struct {
+		req  InferRequest
+		want string // the 400's error text, which clients may match on
+	}{
+		{InferRequest{Model: "VGG16", Batch: 8}, `model "VGG16" not deployed`},
+		{InferRequest{Model: "Res50", Batch: 0}, "batch 0 outside served range [4, 32]"},
+		{InferRequest{Model: "Res50", Batch: 33}, "batch 33 outside served range [4, 32]"},
+		{InferRequest{Model: "Res50", Batch: 8, SeqLen: 8}, `model "Res50" takes no sequence length`},
+		{InferRequest{Model: "Bert", Batch: 8, SeqLen: 7}, "seqlen 7 not served (allowed [8 16 32 64])"},
+		{InferRequest{Model: "Bert", Batch: 8}, "seqlen 0 not served (allowed [8 16 32 64])"},
+		{InferRequest{Model: "Res50", Batch: 8, DeadlineMS: -1}, "negative deadline -1"},
 	}
-	for _, req := range cases {
-		_, status, err := c.Infer(ctx, req)
+	for _, tc := range cases {
+		resp, status, err := c.Infer(ctx, tc.req)
 		if err != nil {
-			t.Fatalf("%+v: %v", req, err)
+			t.Fatalf("%+v: %v", tc.req, err)
 		}
 		if status != http.StatusBadRequest {
-			t.Errorf("%+v: status %d, want 400", req, status)
+			t.Errorf("%+v: status %d, want 400", tc.req, status)
+		}
+		if resp.Error != tc.want {
+			t.Errorf("%+v: error %q, want %q", tc.req, resp.Error, tc.want)
 		}
 	}
 }

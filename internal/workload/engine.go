@@ -61,31 +61,13 @@ func (s *Spec) Bind(models []dnn.ModelID, defaultSeed int64) (*Compiled, error) 
 		if svc >= len(models) {
 			return fmt.Errorf("workload: %s %s targets service %d, deployment has %d", s.Name, what, svc, len(models))
 		}
-		m := dnn.Get(models[svc])
 		if pinned != "" && pinned != models[svc].String() {
 			return fmt.Errorf("workload: %s %s pins model %q, deployment serves %s at service %d",
 				s.Name, what, pinned, models[svc], svc)
 		}
 		if in != nil {
-			if in.Batch < m.MinBatch || in.Batch > m.MaxBatch {
-				return fmt.Errorf("workload: %s %s input batch %d outside %s's served range [%d, %d]",
-					s.Name, what, in.Batch, models[svc], m.MinBatch, m.MaxBatch)
-			}
-			if m.IsSequence() {
-				ok := false
-				for _, sl := range m.SeqLens {
-					if in.SeqLen == sl {
-						ok = true
-						break
-					}
-				}
-				if !ok {
-					return fmt.Errorf("workload: %s %s input seqlen %d not served by %s (allowed %v)",
-						s.Name, what, in.SeqLen, models[svc], m.SeqLens)
-				}
-			} else if in.SeqLen != 0 {
-				return fmt.Errorf("workload: %s %s pins seqlen %d on non-sequence model %s",
-					s.Name, what, in.SeqLen, models[svc])
+			if err := dnn.Get(models[svc]).CheckInput(dnn.Input{Batch: in.Batch, SeqLen: in.SeqLen}); err != nil {
+				return fmt.Errorf("workload: %s %s input on %s: %w", s.Name, what, models[svc], err)
 			}
 		}
 		return nil

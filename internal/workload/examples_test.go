@@ -12,7 +12,7 @@ import (
 )
 
 // examplesSHA256 pins the tracev2 bytes each spec under examples/workloads
-// materializes to, bound the way abacus-workload binds it at its default
+// materializes to, bound the way abacus workload binds it at its default
 // -models and -seed.
 var examplesSHA256 = map[string]string{
 	"cohorts.json":      "edb6d91a321ac6bdd445d63fcdca1eef8f755093a49e7772cf407dfd2435decb",

@@ -6,7 +6,7 @@
 // field has one canonical spelling, which ReadTrace insists on, so a round
 // trip (generate → write → read → write) is byte-identical. The body is
 // plain CSV so rows are greppable and hand-editable (at the cost of
-// re-deriving the checksum with abacus-workload).
+// re-deriving the checksum with abacus workload).
 //
 // Layout:
 //

@@ -408,6 +408,15 @@ func TestBindRejects(t *testing.T) {
 		"seqlen-not-served": {Name: "x", DurationMS: 1000,
 			Services: []ServiceSpec{{Service: 1, Input: &InputSpec{Batch: 8, SeqLen: 7},
 				Phases: []PhaseSpec{{Kind: PhaseConstant, QPS: 1}}}}},
+		"batch-below-envelope": {Name: "x", DurationMS: 1000,
+			Services: []ServiceSpec{{Service: 0, Input: &InputSpec{Batch: 2},
+				Phases: []PhaseSpec{{Kind: PhaseConstant, QPS: 1}}}}},
+		"seqlen-missing-on-sequence-model": {Name: "x", DurationMS: 1000,
+			Services: []ServiceSpec{{Service: 1, Input: &InputSpec{Batch: 8},
+				Phases: []PhaseSpec{{Kind: PhaseConstant, QPS: 1}}}}},
+		"cohort-batch-out-of-envelope": {Name: "x", DurationMS: 1000,
+			Cohorts: []CohortSpec{{Service: 0, Clients: 3, Think: ThinkSpec{MeanMS: 10},
+				Input: &InputSpec{Batch: 64}}}},
 		"cohort-service-out-of-range": {Name: "x", DurationMS: 1000,
 			Cohorts: []CohortSpec{{Service: 9, Clients: 3, Think: ThinkSpec{MeanMS: 10}}}},
 	}
