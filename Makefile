@@ -12,7 +12,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build vet fmt-check tidy-check lint test test-short test-race test-paced fuzz bench-check bench chaos workload examples ci
+.PHONY: all build vet fmt-check tidy-check lint test test-short test-race test-paced fuzz bench-check bench chaos workload examples golden-update ci
 
 all: build
 
@@ -108,6 +108,15 @@ chaos:
 	$(GO) run ./cmd/abacus chaos -scenario heavy-tail -assert-goodput 0.99
 	$(GO) run ./cmd/abacus chaos -scenario diurnal-ramp -assert-goodput 0.98
 	$(GO) run ./cmd/abacus chaos -scenario diurnal-autoscale -assert-goodput 0.98
+
+# GOLDEN.sha256 pins the SHA-256 of every deterministic artifact: the chaos
+# built-ins' -json, `abacus serve` at its defaults, the example workload
+# traces, a small training run's weights, and the /statz and /metrics bodies
+# of twelve unpaced gateway deployments. TestGolden (cmd/abacus, tier-1)
+# checks it; this target rewrites it and prints the lines that moved, which
+# a change that moves any must name.
+golden-update:
+	$(GO) test -count=1 -run '^TestGolden$$' -v ./cmd/abacus -update
 
 # Validate every example workload spec: parse, bind against the model zoo,
 # materialize, and a tracev2 write→read→write round trip that must be
