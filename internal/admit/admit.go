@@ -109,8 +109,15 @@ func (a *Admitter) Degrade() *Degrade { return a.degrade }
 // BacklogMS returns the predicted unfinished work currently admitted.
 func (a *Admitter) BacklogMS() float64 { return a.backlogMS }
 
-// Outstanding returns the admitted-but-unfinished count for one service.
-func (a *Admitter) Outstanding(service int) int { return a.outstanding[service] }
+// Outstanding returns the admitted-but-unfinished count across services:
+// the node's in-flight queries.
+func (a *Admitter) Outstanding() int {
+	n := 0
+	for _, c := range a.outstanding {
+		n += c
+	}
+	return n
+}
 
 // CopyOutstanding copies per-service outstanding counts into dst.
 func (a *Admitter) CopyOutstanding(dst []int) { copy(dst, a.outstanding) }

@@ -185,9 +185,10 @@ func (d *Degrade) AnyActive() bool {
 // noteShed records one degraded-mode rejection against a service.
 func (d *Degrade) noteShed(service int) { d.svcs[service].shed++ }
 
-// Status is an aggregate point-in-time snapshot of the controller for
-// /statz, metrics, and chaos reports: any-active, the widest margin and
-// divergence in force, and deployment-wide sums.
+// Status is a point-in-time snapshot of divergence state: of one service
+// (ServiceSnapshots), or of a fold of several by Merge — a controller's
+// services (Snapshot), a service's replicas, a deployment's nodes — for
+// /statz, metrics, and chaos reports.
 type Status struct {
 	Active      bool    `json:"active"`
 	Transitions int64   `json:"transitions"`
@@ -197,33 +198,29 @@ type Status struct {
 	Shed        int64   `json:"shed"`
 }
 
-// ServiceStatus is one service's divergence state.
-type ServiceStatus struct {
-	Service     int     `json:"service"`
-	Active      bool    `json:"active"`
-	Transitions int64   `json:"transitions"`
-	Divergence  float64 `json:"divergence_ewma"`
-	Margin      float64 `json:"margin"`
-	Samples     int64   `json:"samples"`
-	Shed        int64   `json:"shed"`
+// Merge folds o into s: active if either is, counters summed, the worst
+// divergence and margin kept. Folding one status into the zero Status
+// yields that status.
+func (s *Status) Merge(o Status) {
+	s.Active = s.Active || o.Active
+	s.Transitions += o.Transitions
+	s.Samples += o.Samples
+	s.Shed += o.Shed
+	if o.Divergence > s.Divergence {
+		s.Divergence = o.Divergence
+	}
+	if o.Margin > s.Margin {
+		s.Margin = o.Margin
+	}
 }
 
-// Snapshot returns the aggregate controller state across services.
+// Snapshot returns the fold of every service's state, its margin at least 1.
 func (d *Degrade) Snapshot() Status {
 	var st Status
-	for i, s := range d.svcs {
-		st.Active = st.Active || s.active
-		st.Transitions += s.transitions
-		st.Samples += s.samples
-		st.Shed += s.shed
-		if s.ewma > st.Divergence {
-			st.Divergence = s.ewma
-		}
-		if m := d.Margin(i); m > st.Margin {
-			st.Margin = m
-		}
+	for i := range d.svcs {
+		st.Merge(d.status(i))
 	}
-	if len(d.svcs) > 0 && st.Margin < 1 {
+	if st.Margin < 1 {
 		st.Margin = 1
 	}
 	return st
@@ -231,18 +228,22 @@ func (d *Degrade) Snapshot() Status {
 
 // ServiceSnapshots returns every service's divergence state in service
 // order.
-func (d *Degrade) ServiceSnapshots() []ServiceStatus {
-	out := make([]ServiceStatus, len(d.svcs))
-	for i, s := range d.svcs {
-		out[i] = ServiceStatus{
-			Service:     i,
-			Active:      s.active,
-			Transitions: s.transitions,
-			Divergence:  s.ewma,
-			Margin:      d.Margin(i),
-			Samples:     s.samples,
-			Shed:        s.shed,
-		}
+func (d *Degrade) ServiceSnapshots() []Status {
+	out := make([]Status, len(d.svcs))
+	for i := range d.svcs {
+		out[i] = d.status(i)
 	}
 	return out
+}
+
+func (d *Degrade) status(i int) Status {
+	s := d.svcs[i]
+	return Status{
+		Active:      s.active,
+		Transitions: s.transitions,
+		Divergence:  s.ewma,
+		Margin:      d.Margin(i),
+		Samples:     s.samples,
+		Shed:        s.shed,
+	}
 }

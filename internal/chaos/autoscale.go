@@ -40,7 +40,7 @@ func (h *harness) scaleTick(now sim.Time) {
 // resolve (immediately when idle).
 func (h *harness) drainNode(n *hNode, now sim.Time) {
 	n.phase = scaler.Draining
-	if n.inflight == 0 {
+	if n.Adm.Outstanding() == 0 {
 		h.retireNode(n, now)
 	}
 }

@@ -255,21 +255,14 @@ type request struct {
 	attempts int
 }
 
-// pend is one admitted query awaiting completion.
-type pend struct {
-	predMS float64
-	workMS float64
-}
-
 // hNode is one node inside the harness: its fleet stack on the shared
 // engine, its report, and its lifecycle phase. A fixed fleet's nodes stay
 // Active; only elastic runs move them.
 type hNode struct {
 	*fleet.Stack
-	id       int
-	rep      *NodeReport // nil for single-node runs
-	phase    scaler.Phase
-	inflight int // admitted queries not yet resolved
+	id    int
+	rep   *NodeReport // nil for single-node runs
+	phase scaler.Phase
 }
 
 func (n *hNode) Phase() scaler.Phase   { return n.phase }
@@ -285,8 +278,8 @@ type harness struct {
 	eng         *sim.Engine
 	specs       *dnn.Specs // the run's kernel-spec table, shared by every node
 	nodes       []*hNode
-	probes      []atomic.Int64 // per-service routing decisions (fleet.Route)
-	pending     map[*sched.Query]*pend
+	probes      []atomic.Int64                  // per-service routing decisions (fleet.Route)
+	pending     map[*sched.Query]admit.Decision // admitted, not yet resolved
 	rep         *Report
 	lats        []float64
 
@@ -402,7 +395,7 @@ func Run(sc Scenario) (*Report, error) {
 	h := &harness{
 		sc:          sc,
 		maxAttempts: 1,
-		pending:     make(map[*sched.Query]*pend),
+		pending:     make(map[*sched.Query]admit.Decision),
 		rep:         &Report{Name: sc.Name, Seed: sc.Seed, QPS: sc.QPS},
 		ctrl:        ctrl,
 	}
@@ -468,59 +461,31 @@ func Run(sc Scenario) (*Report, error) {
 }
 
 // finalize folds drift, calibration, and latency state into the report.
-// Cluster runs aggregate per-service state across nodes: counters sum,
-// margins and divergences take the worst case.
+// Cluster runs fold each service's state across nodes with admit.Status's
+// and calib.Status's Merge.
 func (h *harness) finalize() {
+	var drift admit.Status
+	svcDrift := make([]admit.Status, len(h.rep.Services))
+	var cal calib.Status
 	for _, n := range h.nodes {
 		st := n.Adm.Degrade().Snapshot()
-		h.rep.DegradeTransitions += st.Transitions
-		h.rep.DegradeShed += st.Shed
-		if st.Divergence > h.rep.FinalDivergence {
-			h.rep.FinalDivergence = st.Divergence
+		drift.Merge(st)
+		perSvc := n.Adm.Degrade().ServiceSnapshots()
+		for i, ds := range perSvc {
+			svcDrift[i].Merge(ds)
+		}
+		var cs calib.Status
+		if n.Tracker != nil {
+			cs = n.Tracker.Snapshot()
+			cal.Merge(cs)
 		}
 		if n.rep != nil {
-			n.rep.DegradeTransitions = st.Transitions
-			n.rep.DegradeShed = st.Shed
-			n.rep.FinalDivergence = st.Divergence
-		}
-		for i, ds := range n.Adm.Degrade().ServiceSnapshots() {
-			sr := &h.rep.Services[i]
-			sr.RejectedDegraded += ds.Shed
-			sr.DegradeActive = sr.DegradeActive || ds.Active
-			sr.DegradeTransitions += ds.Transitions
-			if ds.Divergence > sr.Divergence {
-				sr.Divergence = ds.Divergence
-			}
-			if ds.Margin > sr.Margin {
-				sr.Margin = ds.Margin
-			}
-			if n.rep != nil {
-				nsr := &n.rep.Services[i]
-				nsr.RejectedDegraded = ds.Shed
-				nsr.DegradeActive = ds.Active
-				nsr.DegradeTransitions = ds.Transitions
-				nsr.Divergence = ds.Divergence
-				nsr.Margin = ds.Margin
-			}
-		}
-		if n.Tracker != nil {
-			for i, cs := range n.Tracker.Snapshot().Services {
-				sr := &h.rep.Services[i]
-				// The cluster-wide view keeps the best-fed replica's fit.
-				if n.rep == nil || cs.Samples > sr.CalibSamples {
-					sr.CalibSlope = cs.Slope
-					sr.CalibInterceptMS = cs.Intercept
-					sr.CalibSamples = cs.Samples
-				}
-				if n.rep != nil {
-					nsr := &n.rep.Services[i]
-					nsr.CalibSlope = cs.Slope
-					nsr.CalibInterceptMS = cs.Intercept
-					nsr.CalibSamples = cs.Samples
-				}
-			}
+			n.rep.DegradeTransitions, n.rep.DegradeShed, n.rep.FinalDivergence = st.Transitions, st.Shed, st.Divergence
+			setServices(n.rep.Services, perSvc, cs)
 		}
 	}
+	h.rep.DegradeTransitions, h.rep.DegradeShed, h.rep.FinalDivergence = drift.Transitions, drift.Shed, drift.Divergence
+	setServices(h.rep.Services, svcDrift, cal)
 	if len(h.lats) > 0 {
 		ps := stats.Percentiles(h.lats, 50, 99)
 		h.rep.P50MS, h.rep.P99MS = ps[0], ps[1]
@@ -535,6 +500,20 @@ func (h *harness) finalize() {
 		if n.rep != nil {
 			h.rep.Nodes = append(h.rep.Nodes, *n.rep)
 		}
+	}
+}
+
+// setServices writes per-service drift and calibration state into report
+// rows; a service without a calibration entry keeps the identity fit.
+func setServices(rows []ServiceReport, drift []admit.Status, cal calib.Status) {
+	for i, ds := range drift {
+		r := &rows[i]
+		r.RejectedDegraded, r.DegradeActive, r.DegradeTransitions = ds.Shed, ds.Active, ds.Transitions
+		r.Divergence, r.Margin = ds.Divergence, ds.Margin
+	}
+	for _, e := range cal.Services {
+		r := &rows[e.Service]
+		r.CalibSlope, r.CalibInterceptMS, r.CalibSamples = e.Slope, e.Intercept, e.Samples
 	}
 }
 
@@ -628,8 +607,8 @@ func (h *harness) attempt(r *request, now sim.Time) {
 		return
 	}
 	n, migrated := fleet.Route(h.nodes, r.svc, h.probes)
-	d := n.Adm.Decide(now, r.svc, r.in, sloMS)
-	if !d.OK {
+	q, d := n.Admit(now, r.svc, r.in, sloMS)
+	if q == nil {
 		switch d.Reason {
 		case admit.ReasonQueueFull:
 			h.rep.RejectedQueue++
@@ -650,10 +629,7 @@ func (h *harness) attempt(r *request, now sim.Time) {
 			h.rep.Migrations++
 		}
 	}
-	n.Adm.Admitted(r.svc, d.WorkMS)
-	n.inflight++
-	q := n.RT.SubmitSLO(r.svc, r.in, now, sloMS)
-	h.pending[q] = &pend{predMS: d.PredMS, workMS: d.WorkMS}
+	h.pending[q] = d
 
 	// A duplicated request hits the gateway's idempotency layer and is
 	// suppressed without a second execution.
@@ -692,19 +668,18 @@ func (h *harness) retryOrGiveUp(r *request, now sim.Time, hintMS float64) {
 
 // onResult is a node runtime's sink (engine goroutine).
 func (h *harness) onResult(n *hNode, q *sched.Query) {
-	p, ok := h.pending[q]
+	d, ok := h.pending[q]
 	if !ok {
 		return
 	}
 	delete(h.pending, q)
-	n.inflight--
-	if n.phase == scaler.Draining && n.inflight == 0 {
+	n.Resolve(q, d)
+	if n.phase == scaler.Draining && n.Adm.Outstanding() == 0 {
 		// Last in-flight query resolved: graceful drain completes, the node
 		// retires at this exact virtual instant.
 		h.retireNode(n, h.eng.Now())
 	}
 	svc := q.Service.ID
-	n.Resolve(svc, p.predMS, p.workMS, q.Latency())
 	if q.Dropped {
 		h.tally(n, svc, func(o *Outcomes) { o.Dropped++ })
 		return

@@ -123,17 +123,32 @@ func NewStack(cfg Config) (*Stack, error) {
 	return st, nil
 }
 
-// Resolve feeds a finished or dropped query of node-local service svc back
-// into the node: it releases the admitted work (workMS) from the backlog,
-// then gives the drift detector the margin-free prediction (predMS) against
-// the latency that happened — drops observe too, a drop being divergence at
-// its loudest — then, when calibration is on, gives the tracker the same
-// completion split into solo work and backlog.
-func (st *Stack) Resolve(svc int, predMS, workMS, latencyMS float64) {
-	st.Adm.Finish(svc, workMS)
-	st.Adm.Degrade().Observe(svc, predMS, latencyMS)
+// Admit is one admission transaction on node-local service svc at now: the
+// admitter's verdict and, when it accepts, the query's predicted work booked
+// into the backlog and the query submitted to the runtime. The query is nil
+// on rejection. sloMS <= 0 selects the service's QoS target. The host keeps
+// the verdict until the query comes back and hands both to Resolve.
+func (st *Stack) Admit(now sim.Time, svc int, in dnn.Input, sloMS float64) (*sched.Query, admit.Decision) {
+	d := st.Adm.Decide(now, svc, in, sloMS)
+	if !d.OK {
+		return nil, d
+	}
+	st.Adm.Admitted(svc, d.WorkMS)
+	return st.RT.SubmitSLO(svc, in, now, sloMS), d
+}
+
+// Resolve feeds a finished or dropped query q, admitted with verdict d, back
+// into the node: it releases the admitted work from the backlog, then gives
+// the drift detector the margin-free prediction against the latency that
+// happened — drops observe too, a drop being divergence at its loudest —
+// then, when calibration is on, gives the tracker the same completion split
+// into solo work and backlog.
+func (st *Stack) Resolve(q *sched.Query, d admit.Decision) {
+	svc, latency := q.Service.ID, q.Latency()
+	st.Adm.Finish(svc, d.WorkMS)
+	st.Adm.Degrade().Observe(svc, d.PredMS, latency)
 	if st.Tracker != nil {
-		st.Tracker.ObserveAdmission(svc, workMS, predMS-workMS, latencyMS)
+		st.Tracker.ObserveAdmission(svc, d.WorkMS, d.PredMS-d.WorkMS, latency)
 	}
 }
 

@@ -53,6 +53,15 @@ type MemoStats struct {
 	Evictions uint64 `json:"evictions"`
 }
 
+// Merge adds o's counters, capacity and size included, into s.
+func (s *MemoStats) Merge(o MemoStats) {
+	s.Capacity += o.Capacity
+	s.Size += o.Size
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.Evictions += o.Evictions
+}
+
 // NewMemoized wraps inner with a cache of at most capacity entries.
 func NewMemoized(inner LatencyModel, capacity int) *Memoized {
 	if inner == nil {

@@ -227,7 +227,7 @@ func (n *node) admitLoop(s *Server) {
 }
 
 // admitOne renders one admission verdict on the loop goroutine: duplicate
-// suppression, capture, decide, submit. Mirrors the PR-3 per-query Do body.
+// suppression, capture, then the node's admission transaction.
 func (n *node) admitOne(s *Server, m *admitMsg) {
 	if s.draining.Load() {
 		m.draining = true
@@ -249,23 +249,16 @@ func (n *node) admitOne(s *Server, m *admitMsg) {
 	if s.cfg.Capture != nil {
 		s.cfg.Capture.Record(trace.Arrival{Time: float64(now), Service: m.global, Input: m.in})
 	}
-	m.d = n.Adm.Decide(now, m.svc, m.in, m.deadlineMS)
-	if !m.d.OK {
+	q, d := n.Admit(now, m.svc, m.in, m.deadlineMS)
+	m.d = d
+	if q == nil {
 		return
 	}
-	q := n.RT.SubmitSLO(m.svc, m.in, now, m.deadlineMS)
-	p := &pending{
-		q:      q,
-		id:     m.requestID,
-		predMS: m.d.PredMS,
-		workMS: m.d.WorkMS,
-		done:   make(chan struct{}),
-	}
+	p := &pending{q: q, id: m.requestID, predMS: d.PredMS, workMS: d.WorkMS, done: make(chan struct{})}
 	n.pending[q] = p
 	if m.requestID != "" {
 		n.byID[m.requestID] = p
 	}
-	n.Adm.Admitted(m.svc, m.d.WorkMS)
 	n.routed++
 	if m.migrated {
 		n.migratedIn++
