@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"net/http"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"abacus/internal/dnn"
 	"abacus/internal/realtime"
+	"abacus/internal/scaler"
 )
 
 // TestGracefulDrainCompletesInFlight covers the drain satellite: a query in
@@ -151,5 +153,52 @@ func TestShutdownClosesUnusedConnection(t *testing.T) {
 	}
 	if err := <-serveErr; err != nil {
 		t.Fatalf("serve returned %v after graceful shutdown", err)
+	}
+}
+
+// TestRetiredNodeLeavesNoPins: a node that served requests carrying IDs
+// takes its sticky pins with it when it retires, so scale churn leaks no
+// routes entries.
+func TestRetiredNodeLeavesNoPins(t *testing.T) {
+	s, c := newTestServer(t, Config{
+		Models:  []dnn.ModelID{dnn.ResNet50},
+		Speedup: 1000,
+		// A thousand-wall-second control interval: the loop never ticks, and
+		// the test drains a node by hand.
+		Autoscale: &scaler.Config{MinNodes: 2, MaxNodes: 2, CapacityQPS: 1, IntervalMS: 1e9, WarmupMS: 1},
+	})
+	ctx := context.Background()
+	for i := 0; i < 16; i++ {
+		req := InferRequest{Model: "Res50", Batch: 4, RequestID: fmt.Sprintf("pin-%d", i)}
+		if _, status, err := c.Infer(ctx, req); err != nil || status != http.StatusOK {
+			t.Fatalf("infer %d: status %d err %v", i, status, err)
+		}
+	}
+	pins := func(id int) int {
+		k := 0
+		s.routes.Range(func(_, v any) bool {
+			if v.(int) == id {
+				k++
+			}
+			return true
+		})
+		return k
+	}
+	n := s.all()[0]
+	if pins(1) > pins(0) {
+		n = s.all()[1]
+	}
+	if pins(n.id) == 0 {
+		t.Fatal("no request ID pinned to either node")
+	}
+	s.scaleMu.Lock()
+	n.setPhase(scaler.Draining)
+	s.scaleMu.Unlock()
+	s.completeDrain(n)
+	if p := n.Phase(); p != scaler.Retired {
+		t.Fatalf("drained node is %v, want retired", p)
+	}
+	if k := pins(n.id); k != 0 {
+		t.Errorf("%d sticky pins still name retired node %d", k, n.id)
 	}
 }
