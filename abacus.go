@@ -34,7 +34,6 @@ import (
 	"abacus/internal/experiments"
 	"abacus/internal/gpusim"
 	"abacus/internal/predictor"
-	"abacus/internal/runner"
 	"abacus/internal/sched"
 	"abacus/internal/serving"
 	"abacus/internal/trace"
@@ -251,16 +250,7 @@ func TrainPredictor(models []Model, cfg TrainConfig) (*Predictor, error) {
 	}
 	sc := predictor.DefaultSamplerConfig()
 	sc.Seed = cfg.Seed
-	// Each co-location degree profiles with its own sampler, so the degrees
-	// collect concurrently and concatenate in degree order — the sample
-	// stream matches the serial loop exactly.
-	perK := runner.Map(cfg.MaxCoLocated, 0, func(i int) []predictor.Sample {
-		return predictor.Collect(models, i+1, cfg.SamplesPerCombo, sc)
-	})
-	var samples []predictor.Sample
-	for _, ks := range perK {
-		samples = append(samples, ks...)
-	}
+	samples := predictor.CollectDegrees(models, cfg.MaxCoLocated, cfg.SamplesPerCombo, sc)
 	tc := predictor.DefaultTrainConfig()
 	tc.Seed = cfg.Seed
 	return predictor.Train(samples, predictor.NewCodec(), tc)

@@ -51,14 +51,13 @@ func trainCmd(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 			cfg.Seed = *seed
 			cfg.Runs = *runs
 			kmax := min(*maxK, len(models))
-			// Each degree profiles with its own sampler, so the degrees collect
-			// concurrently; samples and counts come back in degree order.
-			perK := runner.Map(kmax, 0, func(i int) []predictor.Sample {
-				return predictor.Collect(models, i+1, *samplesPer, cfg)
-			})
-			for k, ks := range perK {
-				samples = append(samples, ks...)
-				fmt.Fprintf(stdout, "collected %d samples at co-location degree %d\n", len(ks), k+1)
+			samples = predictor.CollectDegrees(models, kmax, *samplesPer, cfg)
+			perK := make([]int, kmax)
+			for _, s := range samples {
+				perK[len(s.Group)-1]++
+			}
+			for k, n := range perK {
+				fmt.Fprintf(stdout, "collected %d samples at co-location degree %d\n", n, k+1)
 			}
 		}
 

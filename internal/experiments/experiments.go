@@ -19,7 +19,6 @@ import (
 	"abacus/internal/dnn"
 	"abacus/internal/gpusim"
 	"abacus/internal/predictor"
-	"abacus/internal/runner"
 )
 
 // Table is a printable experiment result.
@@ -154,16 +153,7 @@ func unifiedPredictorOn(opts Options, models []dnn.ModelID, maxK int, prof gpusi
 		cfg.Profile = prof
 		cfg.Seed = opts.Seed
 		cfg.Runs = 3
-		// Each co-location degree is profiled by its own sampler, so the
-		// degrees collect concurrently and concatenate in k order — the
-		// same sample sequence the serial loop produced.
-		perK := runner.Map(maxK, 0, func(i int) []predictor.Sample {
-			return predictor.Collect(models, i+1, opts.SamplesPerPair, cfg)
-		})
-		var samples []predictor.Sample
-		for _, ks := range perK {
-			samples = append(samples, ks...)
-		}
+		samples := predictor.CollectDegrees(models, maxK, opts.SamplesPerPair, cfg)
 		trainCfg := predictor.DefaultTrainConfig()
 		trainCfg.Seed = opts.Seed
 		entry.p, entry.err = predictor.Train(samples, predictor.NewCodec(), trainCfg)

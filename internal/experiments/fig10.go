@@ -145,16 +145,8 @@ func nwiseAccuracy(opts Options, cfg predictor.SamplerConfig, codec predictor.Co
 	rows := runner.Map(len(degrees), 0, func(di int) []string {
 		k := degrees[di]
 		// Train on degrees 1..k so the model sees the full group-size range
-		// it must serve; evaluate on fresh degree-k groups only. Each
-		// degree profiles with its own sampler, so the sub-collections run
-		// concurrently and concatenate in degree order.
-		perK := runner.Map(k, 0, func(i int) []predictor.Sample {
-			return predictor.Collect(quad, i+1, perCombo, cfg)
-		})
-		var train []predictor.Sample
-		for _, ks := range perK {
-			train = append(train, ks...)
-		}
+		// it must serve; evaluate on fresh degree-k groups only.
+		train := predictor.CollectDegrees(quad, k, perCombo, cfg)
 		tc := predictor.TrainConfig{Technique: predictor.TechMLP, Epochs: epochs, LogTarget: true, Seed: opts.Seed}
 		p, err := predictor.Train(train, codec, tc)
 		if err != nil {

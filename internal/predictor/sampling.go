@@ -3,6 +3,7 @@ package predictor
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"abacus/internal/dnn"
 	"abacus/internal/gpusim"
@@ -137,6 +138,16 @@ func Collect(models []dnn.ModelID, k, perCombo int, cfg SamplerConfig) []Sample 
 		}
 		return Sample{Group: groups[i], Latency: stats.Mean(lat), StdDev: stats.StdDev(lat)}
 	})
+}
+
+// CollectDegrees runs Collect at every co-location degree 1..maxK, the
+// degrees concurrently, and concatenates their samples in degree order. Each
+// degree draws from its own sampler, so the samples are those of collecting
+// the degrees one after another.
+func CollectDegrees(models []dnn.ModelID, maxK, perCombo int, cfg SamplerConfig) []Sample {
+	return slices.Concat(runner.Map(maxK, 0, func(i int) []Sample {
+		return Collect(models, i+1, perCombo, cfg)
+	})...)
 }
 
 // Combinations returns all k-element combinations of models in
