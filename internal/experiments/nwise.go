@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"abacus/internal/dnn"
-	"abacus/internal/runner"
 	"abacus/internal/serving"
 )
 
@@ -23,62 +22,38 @@ func nwiseSets() [][]dnn.ModelID {
 	}
 }
 
+// nwise renders one comparison over the §7.4 deployments, with one model
+// covering singleton through quadruplet groups of the set.
+func nwise(opts Options, c comparison) []Table {
+	c.setHeader, c.sets, c.seed = "deployment", nwiseSets(), 100
+	c.model = unifiedPredictor(opts, nwiseSets()[0], 4)
+	t, _ := c.table(opts)
+	return []Table{t}
+}
+
 // Fig18 reproduces Figure 18: 99%-ile latency normalized to QoS for
 // triplet- and quadruplet-wise deployments at 50 QPS.
 func Fig18(opts Options) []Table {
-	return []Table{nwiseTable(opts, "fig18",
-		"Triplet/quadruplet 99%-ile latency normalized to QoS (50 QPS)",
-		50,
-		func(r serving.Result) float64 { return r.NormalizedTail() },
-		f2, true,
-		"paper: Abacus cuts p99 by ~21%/35%/21% (triplets) and ~16%/34%/21% (quads) vs FCFS/SJF/EDF")}
+	return nwise(opts, comparison{
+		id:            "fig18",
+		title:         "Triplet/quadruplet 99%-ile latency normalized to QoS (50 QPS)",
+		qps:           50,
+		metric:        (*serving.Result).NormalizedTail,
+		format:        f2,
+		lowerIsBetter: true,
+		note:          "paper: Abacus cuts p99 by ~21%/35%/21% (triplets) and ~16%/34%/21% (quads) vs FCFS/SJF/EDF",
+	})
 }
 
 // Fig19 reproduces Figure 19: peak goodput for triplet- and
 // quadruplet-wise deployments at 100 QPS offered.
 func Fig19(opts Options) []Table {
-	return []Table{nwiseTable(opts, "fig19",
-		"Triplet/quadruplet peak goodput at 100 QPS offered (queries/s within QoS)",
-		100,
-		func(r serving.Result) float64 { return r.Goodput() },
-		f1, false,
-		"paper: Abacus improves peak throughput by ~51-72% (triplets), ~38-63% (quads); no loss as N grows")}
-}
-
-func nwiseTable(opts Options, id, title string, qps float64,
-	metric func(serving.Result) float64, format func(float64) string,
-	lowerIsBetter bool, paperNote string) Table {
-
-	t := Table{
-		ID:     id,
-		Title:  title,
-		Header: []string{"deployment", "FCFS", "SJF", "EDF", "Abacus"},
-	}
-	perPolicy := map[serving.PolicyKind][]float64{}
-	// One model covering singleton through quadruplet groups of the §7.4
-	// deployment set.
-	shared := unifiedPredictor(opts, []dnn.ModelID{dnn.ResNet101, dnn.ResNet152, dnn.VGG19, dnn.Bert}, 4)
-	sets := nwiseSets()
-	runs := runner.Map(len(sets), 0, func(i int) pairRun {
-		return runCoLocation(opts, sets[i], qps, nil, opts.Seed+100+int64(i), shared)
+	return nwise(opts, comparison{
+		id:     "fig19",
+		title:  "Triplet/quadruplet peak goodput at 100 QPS offered (queries/s within QoS)",
+		qps:    100,
+		metric: (*serving.Result).Goodput,
+		format: f1,
+		note:   "paper: Abacus improves peak throughput by ~51-72% (triplets), ~38-63% (quads); no loss as N grows",
 	})
-	for _, run := range runs {
-		row := []string{run.name}
-		for _, policy := range serving.AllPolicies() {
-			v := metric(run.results[policy])
-			perPolicy[policy] = append(perPolicy[policy], v)
-			row = append(row, format(v))
-		}
-		t.AddRow(row...)
-	}
-	ab := perPolicy[serving.PolicyAbacus]
-	for _, base := range []serving.PolicyKind{serving.PolicyFCFS, serving.PolicySJF, serving.PolicyEDF} {
-		if lowerIsBetter {
-			t.Notes = append(t.Notes, "Abacus vs "+base.String()+": mean reduction "+pct(meanImprovement(ab, perPolicy[base])))
-		} else {
-			t.Notes = append(t.Notes, "Abacus vs "+base.String()+": mean gain "+pct(meanGain(ab, perPolicy[base])))
-		}
-	}
-	t.Notes = append(t.Notes, paperNote)
-	return t
 }
