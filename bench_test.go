@@ -226,7 +226,7 @@ func BenchmarkGatewayRound(b *testing.B) {
 		}
 		adm.Admitted(svc, d.WorkMS)
 		rt.Submit(svc, in, now)
-		rt.Drain()
+		rt.Engine().Run()
 		adm.Finish(svc, d.WorkMS)
 	}
 }

@@ -63,8 +63,8 @@ func TestTrackerStableWhenAlreadyAccurate(t *testing.T) {
 	if got := tr.Correct(0, 12); math.Abs(got-12) > 0.3 {
 		t.Fatalf("accurate service drifted: corrected 12 -> %v", got)
 	}
-	if tr.Slope(0) < 0.95 || tr.Slope(0) > 1.05 {
-		t.Fatalf("slope %v strayed from 1 on accurate feedback", tr.Slope(0))
+	if tr.svcs[0].slope < 0.95 || tr.svcs[0].slope > 1.05 {
+		t.Fatalf("slope %v strayed from 1 on accurate feedback", tr.svcs[0].slope)
 	}
 }
 
@@ -94,7 +94,7 @@ func TestCorrectionFloorAndClamps(t *testing.T) {
 			t.Fatalf("Correct(0, %v) = %v below minSlope floor %v", x, got, minSlope*x)
 		}
 	}
-	if s := tr.Slope(0); s < minSlope-1e-9 {
+	if s := tr.svcs[0].slope; s < minSlope-1e-9 {
 		t.Fatalf("slope %v below minSlope clamp", s)
 	}
 }
@@ -106,8 +106,8 @@ func TestObserveIgnoresGarbage(t *testing.T) {
 	tr.Observe(0, 10, -1)
 	tr.Observe(0, 10, math.NaN())
 	tr.Observe(0, 10, math.Inf(1))
-	if tr.Samples(0) != 0 {
-		t.Fatalf("garbage observations recorded: samples=%d", tr.Samples(0))
+	if tr.svcs[0].samples != 0 {
+		t.Fatalf("garbage observations recorded: samples=%d", tr.svcs[0].samples)
 	}
 }
 
@@ -246,8 +246,5 @@ func TestCalibratedWrapper(t *testing.T) {
 	batch := cal.PredictBatch([]predictor.Group{g, g})
 	if len(batch) != 2 || batch[0] != got || batch[1] != got {
 		t.Fatalf("PredictBatch %v inconsistent with Predict %v", batch, got)
-	}
-	if cal.Tracker() != tr {
-		t.Fatal("Tracker() accessor lost the tracker")
 	}
 }

@@ -25,9 +25,6 @@ func NewCalibrated(inner predictor.LatencyModel, tr *Tracker) *Calibrated {
 	return &Calibrated{inner: inner, tr: tr}
 }
 
-// Tracker returns the tracker backing the wrapper.
-func (c *Calibrated) Tracker() *Tracker { return c.tr }
-
 // Predict implements LatencyModel.
 func (c *Calibrated) Predict(g predictor.Group) float64 {
 	return c.tr.CorrectGroup(g, c.inner.Predict(g))

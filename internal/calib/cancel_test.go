@@ -55,11 +55,11 @@ func TestCalibrationCancelsInjectedBias(t *testing.T) {
 		}
 	}
 	// The learned slope is the inverse of the injected bias.
-	if s := cal.Tracker().Slope(0); math.Abs(s-1/0.6) > 0.1 {
+	if s := cal.tr.svcs[0].slope; math.Abs(s-1/0.6) > 0.1 {
 		t.Errorf("slope %v, want ~%v (inverse of injected bias)", s, 1/0.6)
 	}
 	// The co-located unbiased service's correction never left the identity.
-	if s := cal.Tracker().Slope(1); s != 1 {
+	if s := cal.tr.svcs[1].slope; s != 1 {
 		t.Errorf("unbiased service slope drifted to %v", s)
 	}
 

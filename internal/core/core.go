@@ -140,9 +140,3 @@ func (r *Runtime) SubmitSLO(service int, in dnn.Input, at sim.Time, sloMS float6
 	r.eng.ScheduleAt(at+transfer, func() { r.ctrl.Enqueue(q) })
 	return q
 }
-
-// RunUntil advances the virtual clock, processing submissions and groups.
-func (r *Runtime) RunUntil(t sim.Time) { r.eng.RunUntil(t) }
-
-// Drain runs the engine until no work remains.
-func (r *Runtime) Drain() { r.eng.Run() }

@@ -36,7 +36,7 @@ func TestSubmitAndDrain(t *testing.T) {
 	}
 	q1 := rt.Submit(0, dnn.Input{Batch: 8}, 0)
 	q2 := rt.Submit(1, dnn.Input{Batch: 8, SeqLen: 32}, 1)
-	rt.Drain()
+	rt.Engine().Run()
 	if len(results) != 2 {
 		t.Fatalf("got %d results", len(results))
 	}
@@ -80,7 +80,7 @@ func TestRuntimeOnPartitionedDevice(t *testing.T) {
 		t.Error("runtime did not adopt the partition's engine")
 	}
 	rt.Submit(0, dnn.Input{Batch: 16}, 0)
-	rt.Drain()
+	rt.Engine().Run()
 	if done != 1 {
 		t.Errorf("done = %d", done)
 	}
@@ -97,11 +97,11 @@ func TestRunUntilAdvancesIncrementally(t *testing.T) {
 	}
 	rt.Submit(0, dnn.Input{Batch: 4}, 0)
 	rt.Submit(0, dnn.Input{Batch: 4}, 100)
-	rt.RunUntil(50)
+	rt.Engine().RunUntil(50)
 	if results != 1 {
 		t.Errorf("results at t=50: %d, want 1", results)
 	}
-	rt.RunUntil(300)
+	rt.Engine().RunUntil(300)
 	if results != 2 {
 		t.Errorf("results at t=300: %d, want 2", results)
 	}
@@ -127,7 +127,7 @@ func TestSubmitSLOOverridesDeadline(t *testing.T) {
 	if got, want := plain.Deadline(), 10+svcQoS; got != want {
 		t.Errorf("default deadline = %v, want %v", got, want)
 	}
-	rt.Drain()
+	rt.Engine().Run()
 	if q.Dropped || plain.Dropped {
 		t.Error("idle-device queries dropped")
 	}

@@ -289,7 +289,8 @@ func TestMLPPredictBatchMatchesPredict(t *testing.T) {
 	if err := mlp.Fit(ds); err != nil {
 		t.Fatal(err)
 	}
-	batch := mlp.PredictBatch(ds.X[:50])
+	batch := make([]float64, 50)
+	mlp.PredictBatchTo(batch, ds.X[:50])
 	for i, x := range ds.X[:50] {
 		if batch[i] != mlp.Predict(x) {
 			t.Fatalf("batch[%d] = %v != Predict %v", i, batch[i], mlp.Predict(x))

@@ -375,22 +375,16 @@ func (m *MLP) Predict(x []float64) float64 {
 	return y
 }
 
-// PredictBatch evaluates the network over a batch of raw feature vectors —
-// the batched evaluation the paper's multi-way search feeds the duration
-// model (§6.3). One blocked matrix-multiply per layer over pooled scratch;
-// outputs are bit-identical to calling Predict per row.
-func (m *MLP) PredictBatch(X [][]float64) []float64 {
-	out := make([]float64, len(X))
-	m.PredictBatchTo(out, X)
-	return out
-}
-
-// PredictBatchTo is PredictBatch into a caller-owned destination
-// (len(dst) == len(X)): beyond the pooled scratch it does not allocate,
-// which keeps the scheduler's span search off the garbage collector.
+// PredictBatchTo evaluates the network over a batch of raw feature vectors
+// into a caller-owned destination (len(dst) == len(X)) — the batched
+// evaluation the paper's multi-way search feeds the duration model (§6.3).
+// One blocked matrix-multiply per layer over pooled scratch; outputs are
+// bit-identical to calling Predict per row. Beyond the pooled scratch it
+// does not allocate, which keeps the scheduler's span search off the
+// garbage collector.
 func (m *MLP) PredictBatchTo(dst []float64, X [][]float64) {
 	if m.layers == nil {
-		panic("ml: MLP.PredictBatch before Fit")
+		panic("ml: MLP.PredictBatchTo before Fit")
 	}
 	if len(dst) != len(X) {
 		panic(fmt.Sprintf("ml: PredictBatchTo dst length %d, want %d", len(dst), len(X)))

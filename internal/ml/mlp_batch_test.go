@@ -58,18 +58,14 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 				X[i][j] = rng.Float64() * 50
 			}
 		}
-		batch := m.PredictBatch(X)
-		if len(batch) != B {
-			t.Fatalf("B=%d: PredictBatch returned %d values", B, len(batch))
-		}
-		dst := make([]float64, B)
-		m.PredictBatchTo(dst, X)
+		batch := make([]float64, B)
+		m.PredictBatchTo(batch, X)
 		for i, x := range X {
 			one := m.Predict(x)
 			ref := scalarPredict(m, x)
-			if batch[i] != one || batch[i] != ref || dst[i] != ref {
-				t.Fatalf("B=%d row %d: batch %v, predict %v, scalar %v, to %v — paths diverge",
-					B, i, batch[i], one, ref, dst[i])
+			if batch[i] != one || batch[i] != ref {
+				t.Fatalf("B=%d row %d: batch %v, predict %v, scalar %v — paths diverge",
+					B, i, batch[i], one, ref)
 			}
 		}
 	}
@@ -95,6 +91,6 @@ func TestPredictBatchToEdgeCases(t *testing.T) {
 	})
 	mustPanic("unfitted model", func() {
 		var un MLP
-		un.PredictBatch([][]float64{make([]float64, 3)})
+		un.PredictBatchTo(make([]float64, 1), [][]float64{make([]float64, 3)})
 	})
 }

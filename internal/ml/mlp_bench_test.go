@@ -47,10 +47,11 @@ func BenchmarkMLPPredictBatch(b *testing.B) {
 				X[i][j] = rng.Float64() * 100
 			}
 		}
+		dst := make([]float64, batch)
 		b.Run(fmt.Sprintf("B=%d", batch), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				m.PredictBatch(X)
+				m.PredictBatchTo(dst, X)
 			}
 		})
 	}

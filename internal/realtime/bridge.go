@@ -46,12 +46,8 @@ type Bridge struct {
 	stopped  chan struct{}
 	stopOnce sync.Once
 
-	// epoch pins the loop's wall-clock origin when set (StartAnchored);
-	// zero means the loop stamps time.Now when it starts.
-	epoch time.Time
-
 	// wallStart/virtStart anchor the pacing computation. Written once when
-	// the loop starts, then read only on the loop goroutine (CatchUp).
+	// the bridge starts, then read only on the loop goroutine (CatchUp).
 	wallStart time.Time
 	virtStart sim.Time
 
@@ -82,9 +78,6 @@ func New(eng *sim.Engine, speedup float64) *Bridge {
 	return b
 }
 
-// Speedup returns the configured pacing factor.
-func (b *Bridge) Speedup() float64 { return b.speedup }
-
 // Unpaced reports whether the bridge runs in batch mode.
 func (b *Bridge) Unpaced() bool { return b.unpaced }
 
@@ -92,21 +85,18 @@ func (b *Bridge) Unpaced() bool { return b.unpaced }
 // goroutine; for an exact read, query the engine inside Do.
 func (b *Bridge) Now() sim.Time { return math.Float64frombits(b.now.Load()) }
 
-// Start launches the loop goroutine. It must be called exactly once.
-func (b *Bridge) Start() { go b.loop() }
-
 // StartAnchored launches the loop goroutine with its wall-clock origin pinned
 // to epoch instead of the instant the loop happens to start. Sibling bridges
 // anchored to the same epoch share one clock discipline: each derives its
 // virtual clock from the identical wall origin, so N per-node engines advance
-// in lockstep regardless of goroutine start order. Like Start, it must be
-// called exactly once; an epoch slightly in the past simply fast-forwards the
-// bridge to where its siblings already are.
+// in lockstep regardless of goroutine start order. It must be called exactly
+// once; an epoch slightly in the past simply fast-forwards the bridge to
+// where its siblings already are.
 func (b *Bridge) StartAnchored(epoch time.Time) {
 	if epoch.IsZero() {
 		panic("realtime: zero anchor epoch")
 	}
-	b.epoch = epoch
+	b.wallStart = epoch
 	go b.loop()
 }
 
@@ -196,10 +186,6 @@ func (b *Bridge) Retire() (sim.Time, error) {
 // injected.
 func (b *Bridge) loop() {
 	defer close(b.stopped)
-	b.wallStart = b.epoch
-	if b.wallStart.IsZero() {
-		b.wallStart = time.Now()
-	}
 	b.virtStart = b.eng.Now()
 	for {
 		b.CatchUp()

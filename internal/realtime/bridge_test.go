@@ -36,12 +36,12 @@ func TestUnpacedMatchesOfflineDrain(t *testing.T) {
 	var offline []*sched.Query
 	rtOff := newRuntime(t, &offline)
 	submit(rtOff)
-	rtOff.Drain()
+	rtOff.Engine().Run()
 
 	var live []*sched.Query
 	rtLive := newRuntime(t, &live)
 	b := New(rtLive.Engine(), Unpaced)
-	b.Start()
+	b.StartAnchored(time.Now())
 	defer b.Stop()
 	if err := b.Do(func() { submit(rtLive) }); err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestUnpacedMatchesOfflineDrain(t *testing.T) {
 func TestPacingDelaysEvents(t *testing.T) {
 	eng := sim.NewEngine()
 	b := New(eng, 100) // 100 virtual ms per wall ms
-	b.Start()
+	b.StartAnchored(time.Now())
 	defer b.Stop()
 
 	fired := make(chan sim.Time, 1)
@@ -97,7 +97,7 @@ func TestPacingDelaysEvents(t *testing.T) {
 func TestWallSpacedInjectionsGetIncreasingVirtualTimes(t *testing.T) {
 	eng := sim.NewEngine()
 	b := New(eng, 1000)
-	b.Start()
+	b.StartAnchored(time.Now())
 	defer b.Stop()
 
 	var first, second sim.Time
@@ -119,7 +119,7 @@ func TestWallSpacedInjectionsGetIncreasingVirtualTimes(t *testing.T) {
 
 func TestDoAfterStopReturnsErrStopped(t *testing.T) {
 	b := New(sim.NewEngine(), Unpaced)
-	b.Start()
+	b.StartAnchored(time.Now())
 	b.Stop()
 	b.Stop() // idempotent
 	if err := b.Do(func() {}); err != ErrStopped {
@@ -135,7 +135,7 @@ func TestConcurrentInjection(t *testing.T) {
 		var results []*sched.Query
 		rt := newRuntime(t, &results)
 		b := New(rt.Engine(), speedup)
-		b.Start()
+		b.StartAnchored(time.Now())
 
 		const n = 24
 		var wg sync.WaitGroup

@@ -18,8 +18,8 @@ import (
 func TestFlushDoesNotAdvanceSibling(t *testing.T) {
 	engA, engB := sim.NewEngine(), sim.NewEngine()
 	a, b := New(engA, Unpaced), New(engB, 1)
-	a.Start()
-	b.Start()
+	a.StartAnchored(time.Now())
+	b.StartAnchored(time.Now())
 	defer a.Stop()
 	defer b.Stop()
 
@@ -72,8 +72,8 @@ func TestTwoBridgeFlushIsolationUnderLoad(t *testing.T) {
 	rtB := newRuntime(t, &resB)
 	a := New(rtA.Engine(), Unpaced)
 	b := New(rtB.Engine(), Unpaced)
-	a.Start()
-	b.Start()
+	a.StartAnchored(time.Now())
+	b.StartAnchored(time.Now())
 
 	const n = 50
 	var wg sync.WaitGroup

@@ -15,7 +15,7 @@ import (
 func TestRetireFlushesPendingWork(t *testing.T) {
 	eng := sim.NewEngine()
 	b := New(eng, 1) // paced at real time: only Flush can finish this fast
-	b.Start()
+	b.StartAnchored(time.Now())
 
 	var chained int
 	if err := b.Do(func() {
@@ -57,7 +57,7 @@ func TestRetireFlushesPendingWork(t *testing.T) {
 func TestStopDrainOrder(t *testing.T) {
 	eng := sim.NewEngine()
 	b := New(eng, Unpaced)
-	b.Start()
+	b.StartAnchored(time.Now())
 
 	gate := make(chan struct{})
 	busy := make(chan struct{})
@@ -123,7 +123,7 @@ func TestStopDrainOrder(t *testing.T) {
 func TestStopCommandConservation(t *testing.T) {
 	eng := sim.NewEngine()
 	b := New(eng, Unpaced)
-	b.Start()
+	b.StartAnchored(time.Now())
 
 	const workers = 16
 	var executed, acked atomic.Int64

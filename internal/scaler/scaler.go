@@ -240,16 +240,6 @@ func (c *Controller) NodeMS(nowMS float64) float64 {
 	return total
 }
 
-// Nodes returns copies of every lifecycle record (including retired nodes),
-// ordered by ID.
-func (c *Controller) Nodes() []Node {
-	out := make([]Node, len(c.nodes))
-	for i, n := range c.nodes {
-		out[i] = *n
-	}
-	return out
-}
-
 // Snapshot is a point-in-time view of the controller for /statz and
 // reports.
 type Snapshot struct {

@@ -88,9 +88,6 @@ func NewAbacus(eng *sim.Engine, exec *executor.Executor, model predictor.Latency
 	}
 }
 
-// Name implements Scheduler.
-func (a *Abacus) Name() string { return "Abacus" }
-
 // QueueLen implements Scheduler.
 func (a *Abacus) QueueLen() int {
 	n := 0

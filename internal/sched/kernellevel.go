@@ -32,9 +32,6 @@ func NewKernelLevel(eng *sim.Engine, exec *executor.Executor, cfg Config, sink S
 	return &KernelLevel{eng: eng, exec: exec, sink: sink, cfg: cfg}
 }
 
-// Name implements Scheduler.
-func (k *KernelLevel) Name() string { return "KernelLevel" }
-
 // QueueLen implements Scheduler.
 func (k *KernelLevel) QueueLen() int {
 	n := len(k.queue)

@@ -25,9 +25,6 @@ func NewFreeOverlap(eng *sim.Engine, dev *gpusim.Device, sink Sink) *FreeOverlap
 	return &FreeOverlap{eng: eng, dev: dev, sink: sink}
 }
 
-// Name implements Scheduler.
-func (f *FreeOverlap) Name() string { return "MPS" }
-
 // QueueLen implements Scheduler: with no queueing, it is the number of
 // in-flight queries.
 func (f *FreeOverlap) QueueLen() int { return f.outstanding }

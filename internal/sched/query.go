@@ -72,7 +72,6 @@ func (q *Query) Violated() bool { return q.Dropped || q.Finish > q.Deadline() }
 // scheduler emits the query through its sink exactly once, either finished
 // or dropped.
 type Scheduler interface {
-	Name() string
 	Enqueue(*Query)
 	// QueueLen reports queries accepted but not yet finished or dropped
 	// (used by cluster-level routing).

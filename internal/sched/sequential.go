@@ -67,9 +67,6 @@ func NewSequential(policy SequentialPolicy, eng *sim.Engine, exec *executor.Exec
 	}
 }
 
-// Name implements Scheduler.
-func (s *Sequential) Name() string { return s.policy.String() }
-
 // QueueLen implements Scheduler.
 func (s *Sequential) QueueLen() int {
 	n := len(s.queue)

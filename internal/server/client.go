@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -118,23 +117,6 @@ func (c *Client) Stats(ctx context.Context) (*Statz, error) {
 func (c *Client) Health(ctx context.Context) error {
 	var out map[string]any
 	return c.getJSON(ctx, "/healthz", &out)
-}
-
-// Metrics fetches the raw /metrics exposition.
-func (c *Client) Metrics(ctx context.Context) ([]byte, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	hres, err := c.hc.Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer hres.Body.Close()
-	if hres.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET /metrics: %s", hres.Status)
-	}
-	return io.ReadAll(hres.Body)
 }
 
 // WaitReady polls /healthz until the gateway answers or the timeout lapses.

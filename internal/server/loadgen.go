@@ -335,9 +335,6 @@ func (s *LoadStats) finalize() {
 	}
 }
 
-// Latencies returns the completed-query latencies (virtual ms).
-func (s *LoadStats) Latencies() []float64 { return s.lats }
-
 // OfflineBaseline replays the same arrival schedule through the offline
 // simulator under the Abacus policy (nil model = exact oracle) — the
 // prediction the live gateway is measured against. qosMS, when it matches

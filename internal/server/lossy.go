@@ -48,9 +48,6 @@ func (t *LossyTransport) DroppedBeforeSend() int64 { return t.droppedBefore.Load
 // DroppedAfterSend counts responses lost after the gateway answered.
 func (t *LossyTransport) DroppedAfterSend() int64 { return t.droppedAfter.Load() }
 
-// Drops counts all injected losses.
-func (t *LossyTransport) Drops() int64 { return t.droppedBefore.Load() + t.droppedAfter.Load() }
-
 // RoundTrip implements http.RoundTripper.
 func (t *LossyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if t.p == 0 || req.URL.Path != "/v1/infer" {

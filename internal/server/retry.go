@@ -105,9 +105,6 @@ func NewRetrier(policy RetryPolicy) *Retrier {
 	}
 }
 
-// Policy returns the resolved policy (defaults applied).
-func (r *Retrier) Policy() RetryPolicy { return r.policy }
-
 func sleepCtx(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()

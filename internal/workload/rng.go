@@ -29,9 +29,6 @@ func (r *PRNG) next() uint64 {
 	return rng.Mix64(r.state)
 }
 
-// Uint64 returns the next raw 64-bit draw.
-func (r *PRNG) Uint64() uint64 { return r.next() }
-
 // Float64 returns a uniform draw in [0, 1).
 func (r *PRNG) Float64() float64 { return float64(r.next()>>11) / (1 << 53) }
 
