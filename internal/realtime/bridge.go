@@ -1,15 +1,15 @@
 // Package realtime bridges the deterministic discrete-event engine to the
 // wall clock, turning the batch simulator into a live runtime. A Bridge owns
-// a sim.Engine on a single loop goroutine: virtual time is paced against
-// time.Now with a configurable speedup factor, external work is injected as
-// it occurs via Do, and event callbacks (group completions, query sinks)
-// fire on the loop at their paced instants. Speedup 1 runs the runtime in
-// real time; large speedups compress wall time for tests; Unpaced recovers
-// the offline batch mode, where the engine drains as fast as the host
-// allows.
+// a sim.Engine on a single loop goroutine fed by one queue: virtual time is
+// paced against time.Now with a configurable speedup factor, external work
+// is posted to the queue as it occurs (Post, or Do for a one-off function),
+// and event callbacks (group completions, query sinks) fire on the loop at
+// their paced instants. Speedup 1 runs the runtime in real time; large
+// speedups compress wall time for tests; Unpaced recovers the offline batch
+// mode, where the engine drains as fast as the host allows.
 //
 // Everything scheduled on the engine still executes single-threaded and in
-// deterministic order for a given injection sequence — the bridge adds no
+// deterministic order for a given posting sequence — the bridge adds no
 // concurrency inside the simulation, only at its boundary.
 package realtime
 
@@ -35,19 +35,36 @@ var ErrStopped = errors.New("realtime: bridge stopped")
 // on wake, so the cap only costs a spurious wakeup per hour.
 const maxWait = time.Hour
 
+// Msg is one unit of work posted to a bridge's loop. A message Post accepts
+// is answered exactly once: Run on the loop goroutine, after every virtual
+// event due by the current wall instant has fired, or Stopped (on the loop
+// goroutine too) when the bridge stops before reaching it. Run may inspect
+// and schedule against the engine freely.
+type Msg interface {
+	Run()
+	Stopped()
+}
+
 // Bridge drives a sim.Engine as a live event loop.
 type Bridge struct {
 	eng     *sim.Engine
 	speedup float64
 	unpaced bool
 
-	cmds     chan func()
-	stop     chan struct{}
-	stopped  chan struct{}
-	stopOnce sync.Once
+	// queue is the loop's one input, appended by Post under mu. The loop
+	// swaps it for spare, a loop-owned backing array of the same kind, so a
+	// burst of posts is served in one wakeup without allocating. closed
+	// refuses further posts once Stop has been called.
+	mu     sync.Mutex
+	queue  []Msg
+	spare  []Msg
+	closed bool
+
+	wake    chan struct{} // cap 1: "the queue is non-empty, or closed"
+	stopped chan struct{}
 
 	// wallStart/virtStart anchor the pacing computation. Written once when
-	// the bridge starts, then read only on the loop goroutine (CatchUp).
+	// the bridge starts, then read only on the loop goroutine (catchUp).
 	wallStart time.Time
 	virtStart sim.Time
 
@@ -70,8 +87,7 @@ func New(eng *sim.Engine, speedup float64) *Bridge {
 		eng:     eng,
 		speedup: speedup,
 		unpaced: speedup == Unpaced || math.IsInf(speedup, 1),
-		cmds:    make(chan func()),
-		stop:    make(chan struct{}),
+		wake:    make(chan struct{}, 1),
 		stopped: make(chan struct{}),
 	}
 	b.now.Store(math.Float64bits(eng.Now()))
@@ -100,48 +116,66 @@ func (b *Bridge) StartAnchored(epoch time.Time) {
 	go b.loop()
 }
 
-// Stop halts the loop and waits for it to exit. Commands already queued are
-// executed first so no Do caller is stranded; events still pending on the
-// engine do not fire. Stop is idempotent.
+// Stop halts the loop and waits for it to exit. Messages still queued are
+// answered with Stopped, so no poster is stranded; events still pending on
+// the engine do not fire. Stop is idempotent.
 func (b *Bridge) Stop() {
-	b.stopOnce.Do(func() { close(b.stop) })
+	b.mu.Lock()
+	b.closed = true
+	b.mu.Unlock()
+	b.signal()
 	<-b.stopped
 }
 
-// Do runs fn on the loop goroutine, after all virtual events due by the
-// current wall instant have fired, and waits for it to return. fn may
-// inspect and schedule against the engine freely; this is the only safe way
-// to touch the engine while the bridge runs.
-func (b *Bridge) Do(fn func()) error {
-	done := make(chan struct{})
-	wrapped := func() { defer close(done); fn() }
-	select {
-	case b.cmds <- wrapped:
-	case <-b.stopped:
-		return ErrStopped
+// Post queues m for the loop, in posting order, and reports whether the
+// bridge accepted it. An accepted message is answered exactly once (see
+// Msg); a refused one, posted after Stop, is never called.
+func (b *Bridge) Post(m Msg) bool {
+	b.mu.Lock()
+	if b.closed {
+		b.mu.Unlock()
+		return false
 	}
+	b.queue = append(b.queue, m)
+	b.mu.Unlock()
+	b.signal()
+	return true
+}
+
+func (b *Bridge) signal() {
 	select {
-	case <-done:
-		return nil
-	case <-b.stopped:
-		// The loop drains queued commands before closing stopped, so a
-		// command accepted above either ran or never will.
-		select {
-		case <-done:
-			return nil
-		default:
-			return ErrStopped
-		}
+	case b.wake <- struct{}{}:
+	default:
 	}
 }
 
-// CatchUp advances the engine to the wall-derived pacing target (everything
-// due by this instant fires), or drains it entirely when unpaced. It must
-// only be called from inside a Do callback — it touches the engine. Batch
-// consumers call it between entries so each decision observes the virtual
-// time it would have seen had it been injected alone, keeping batched
-// admission equivalent to one injection per query.
-func (b *Bridge) CatchUp() {
+// doMsg is Do's message: fn, and a one-slot reply that says whether it ran.
+type doMsg struct {
+	fn  func()
+	ran chan bool
+}
+
+func (m *doMsg) Run()     { m.fn(); m.ran <- true }
+func (m *doMsg) Stopped() { m.ran <- false }
+
+// Do runs fn on the loop goroutine, as a message on the bridge's queue, and
+// waits for it to return. Once the bridge has stopped it reports ErrStopped
+// without running fn. Do and Post are the only safe ways to touch the
+// engine while the bridge runs.
+func (b *Bridge) Do(fn func()) error {
+	m := &doMsg{fn: fn, ran: make(chan bool, 1)}
+	if !b.Post(m) || !<-m.ran {
+		return ErrStopped
+	}
+	return nil
+}
+
+// catchUp advances the engine to the wall-derived pacing target (everything
+// due by this instant fires), or drains it entirely when unpaced. The loop
+// runs it before every message, so each one observes the virtual time it
+// would have seen had it been posted alone: in unpaced mode a batch of
+// admissions decides exactly as one message per wakeup would.
+func (b *Bridge) catchUp() {
 	if b.unpaced {
 		b.eng.Run()
 	} else if t := b.target(); t > b.eng.Now() {
@@ -182,13 +216,13 @@ func (b *Bridge) Retire() (sim.Time, error) {
 }
 
 // loop is the bridge's event loop: fire everything due by the wall-derived
-// virtual target, then sleep until the next event is due or work is
-// injected.
+// virtual target, sleep until the next event is due or a message is posted,
+// then serve every queued message in posting order.
 func (b *Bridge) loop() {
 	defer close(b.stopped)
 	b.virtStart = b.eng.Now()
 	for {
-		b.CatchUp()
+		b.catchUp()
 
 		var timer *time.Timer
 		var timerC <-chan time.Time
@@ -206,47 +240,28 @@ func (b *Bridge) loop() {
 			}
 		}
 		select {
-		case fn := <-b.cmds:
-			// Catch the clock up to the injection's wall instant so fn sees
-			// the virtual time at which the external work actually occurred.
-			b.CatchUp()
-			fn()
-			// Greedily serve commands already queued behind this one before
-			// recomputing pacing timers: under a burst of injections one loop
-			// wakeup handles the whole burst, and each command still gets the
-			// same advance-then-run treatment it would have gotten alone.
-		drain:
-			for {
-				select {
-				case fn := <-b.cmds:
-					b.CatchUp()
-					fn()
-				default:
-					break drain
-				}
-			}
+		case <-b.wake:
 		case <-timerC:
-		case <-b.stop:
-			if timer != nil {
-				timer.Stop()
-			}
-			b.drainCommands()
-			return
 		}
 		if timer != nil {
 			timer.Stop()
 		}
-	}
-}
 
-// drainCommands runs commands that were queued before the stop signal won
-// the race, so their Do callers unblock.
-func (b *Bridge) drainCommands() {
-	for {
-		select {
-		case fn := <-b.cmds:
-			fn()
-		default:
+		b.mu.Lock()
+		batch, closed := b.queue, b.closed
+		b.queue = b.spare[:0]
+		b.mu.Unlock()
+		for _, m := range batch {
+			if closed {
+				m.Stopped()
+				continue
+			}
+			b.catchUp()
+			m.Run()
+		}
+		clear(batch)
+		b.spare = batch[:0]
+		if closed {
 			return
 		}
 	}

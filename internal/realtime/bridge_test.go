@@ -89,6 +89,11 @@ func TestPacingDelaysEvents(t *testing.T) {
 	if at < 500 {
 		t.Errorf("event fired at virtual %v, want >= 500", at)
 	}
+	// The loop publishes its clock when the engine run that fired the event
+	// returns, which can be after the event's send; a Do waits for that.
+	if err := b.Do(func() {}); err != nil {
+		t.Fatal(err)
+	}
 	if now := b.Now(); now < 500 {
 		t.Errorf("published Now() = %v, want >= 500", now)
 	}

@@ -50,10 +50,40 @@ func TestRetireFlushesPendingWork(t *testing.T) {
 	}
 }
 
+// countMsg is a posted message that counts how it was answered.
+type countMsg struct {
+	calls   atomic.Int32
+	ran     bool
+	stopped bool
+	run     func() // optional, called by Run before it answers
+	done    chan struct{}
+}
+
+func newCountMsg(run func()) *countMsg {
+	return &countMsg{run: run, done: make(chan struct{}, 1)}
+}
+
+func (m *countMsg) Run() {
+	if m.run != nil {
+		m.run()
+	}
+	m.ran = true
+	m.calls.Add(1)
+	m.done <- struct{}{}
+}
+
+func (m *countMsg) Stopped() {
+	m.stopped = true
+	m.calls.Add(1)
+	m.done <- struct{}{}
+}
+
 // TestStopDrainOrder pins the drain-order contract when a bridge stops with
-// commands queued behind a busy loop: commands execute in submission order
-// with no gaps — if a later command ran, every earlier one from the same
-// submitter ran first — and a command reported ErrStopped never runs.
+// work queued behind a busy loop. One submitter alternates Post and Do:
+// work executes in submission order with no gaps — if a later item ran,
+// every earlier one ran first — an accepted post is answered exactly once,
+// by Run or by Stopped, and neither a refused post nor a Do reported
+// ErrStopped ever runs.
 func TestStopDrainOrder(t *testing.T) {
 	eng := sim.NewEngine()
 	b := New(eng, Unpaced)
@@ -64,36 +94,38 @@ func TestStopDrainOrder(t *testing.T) {
 	go func() {
 		_ = b.Do(func() { close(busy); <-gate })
 	}()
-	<-busy // the loop is now wedged; subsequent commands queue
+	<-busy // the loop is now wedged; subsequent work queues
 
-	const n = 3
+	const n = 6
 	var mu sync.Mutex
 	var ran []int
+	record := func(i int) func() {
+		return func() {
+			mu.Lock()
+			ran = append(ran, i)
+			mu.Unlock()
+		}
+	}
 	errs := make([]error, n)
+	msgs := make([]*countMsg, n)
+	refused := make([]bool, n)
 	orderDone := make(chan struct{})
 	go func() {
 		defer close(orderDone)
 		for i := 0; i < n; i++ {
-			i := i
-			errs[i] = b.Do(func() {
-				mu.Lock()
-				ran = append(ran, i)
-				mu.Unlock()
-			})
-			if errs[i] != nil {
-				// Once stopped, every later submission fails too.
-				for j := i + 1; j < n; j++ {
-					errs[j] = ErrStopped
-				}
-				return
+			if i%2 == 0 {
+				msgs[i] = newCountMsg(record(i))
+				refused[i] = !b.Post(msgs[i])
+			} else {
+				errs[i] = b.Do(record(i))
 			}
 		}
 	}()
 
 	stopDone := make(chan struct{})
 	go func() { defer close(stopDone); b.Stop() }()
-	// Let the stop signal and the first queued command race, then release
-	// the loop: the drain must still honor the contract either way.
+	// Let the stop signal and the first queued work race, then release the
+	// loop: the drain must still honor the contract either way.
 	time.Sleep(10 * time.Millisecond)
 	close(gate)
 	<-stopDone
@@ -108,6 +140,17 @@ func TestStopDrainOrder(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		executed := i < len(ran)
+		if m := msgs[i]; m != nil {
+			switch calls := m.calls.Load(); {
+			case refused[i] && calls != 0:
+				t.Errorf("refused post %d was called %d times", i, calls)
+			case !refused[i] && calls != 1:
+				t.Errorf("accepted post %d was answered %d times, want once", i, calls)
+			case m.ran != executed || (m.stopped && executed):
+				t.Errorf("post %d: ran=%v stopped=%v, executed=%v", i, m.ran, m.stopped, executed)
+			}
+			continue
+		}
 		if executed && errs[i] != nil {
 			t.Errorf("command %d ran but Do returned %v", i, errs[i])
 		}
@@ -117,9 +160,11 @@ func TestStopDrainOrder(t *testing.T) {
 	}
 }
 
-// TestStopCommandConservation hammers a stopping bridge from many goroutines:
-// across every submitter, commands executed must exactly equal Do calls that
-// returned nil — no lost commands, no ghost executions, no stranded caller.
+// TestStopCommandConservation hammers a stopping bridge from many goroutines,
+// half calling Do and half posting messages: commands executed must exactly
+// equal Do calls that returned nil, every accepted post must be answered
+// exactly once, by Run or by Stopped, and a refused post never — no lost
+// work, no ghost executions, no stranded caller.
 func TestStopCommandConservation(t *testing.T) {
 	eng := sim.NewEngine()
 	b := New(eng, Unpaced)
@@ -127,12 +172,24 @@ func TestStopCommandConservation(t *testing.T) {
 
 	const workers = 16
 	var executed, acked atomic.Int64
+	posted := make([][]*countMsg, workers)
+	refused := make([]*countMsg, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
+				if w%2 == 1 {
+					m := newCountMsg(nil)
+					if !b.Post(m) {
+						refused[w] = m
+						return
+					}
+					posted[w] = append(posted[w], m)
+					<-m.done
+					continue
+				}
 				if err := b.Do(func() { executed.Add(1) }); err != nil {
 					return
 				}
@@ -150,5 +207,22 @@ func TestStopCommandConservation(t *testing.T) {
 	}
 	if acked.Load() == 0 {
 		t.Error("no commands completed before retirement; test proved nothing")
+	}
+	var ran int
+	for w := 1; w < workers; w += 2 {
+		for i, m := range posted[w] {
+			if c := m.calls.Load(); c != 1 {
+				t.Errorf("worker %d post %d answered %d times, want once", w, i, c)
+			}
+			if m.ran {
+				ran++
+			}
+		}
+		if c := refused[w].calls.Load(); c != 0 {
+			t.Errorf("worker %d: refused post called %d times", w, c)
+		}
+	}
+	if ran == 0 {
+		t.Error("no post ran before retirement; test proved nothing")
 	}
 }

@@ -18,9 +18,6 @@ import (
 	"abacus/internal/scaler"
 )
 
-// drainPoll is how often a draining node is checked for quiescence.
-const drainPoll = 5 * time.Millisecond
-
 // nowMS is the gateway's shared virtual clock: wall time since the anchor
 // epoch scaled by the pacing factor — the same discipline every node bridge
 // derives its clock from.
@@ -81,7 +78,6 @@ func (s *Server) scaleLoop() {
 		// not matter.
 		for _, n := range added {
 			n.bridge.StartAnchored(s.epoch)
-			go n.admitLoop(s)
 		}
 		for _, n := range drains {
 			go s.completeDrain(n)
@@ -89,25 +85,24 @@ func (s *Server) scaleLoop() {
 	}
 }
 
-// completeDrain waits for a draining node to go quiescent, then retires it:
-// mailbox shut (late stragglers answer as draining and remap on retry), a
-// terminal stats snapshot taken while the bridge still runs, the bridge
-// flushed and stopped, its sticky pins dropped, and the controller told the
-// node's lifetime is over. The retired node's idempotency memory dies with it
-// — a retry of a query it completed re-executes on a live replica.
+// completeDrain retires a draining node once it goes quiescent. It asks the
+// node's loop to report the moment no admitted query is outstanding, which
+// onResult does when the last one resolves; the loop then also closes the
+// node's admissions (late stragglers answer as draining and remap on
+// retry). Retirement follows: a terminal stats snapshot taken while the
+// bridge still runs, the bridge flushed and stopped, its sticky pins
+// dropped, and the controller told the node's lifetime is over. The retired
+// node's idempotency memory dies with it — a retry of a query it completed
+// re-executes on a live replica.
 func (s *Server) completeDrain(n *node) {
-	for {
-		idle := false
-		if err := n.bridge.Do(func() { idle = n.Adm.Outstanding() == 0 }); err != nil {
-			// A gateway-wide Drain raced us and owns shutdown now.
-			return
-		}
-		if idle && n.mailboxIdle() {
-			break
-		}
-		time.Sleep(drainPoll)
+	idle := make(chan struct{})
+	if err := n.bridge.Do(func() { n.idle = idle; n.retireIfIdle() }); err != nil {
+		// A gateway-wide Drain raced us and owns shutdown now.
+		return
 	}
-	n.stopMailbox()
+	// Every Stop follows a Flush, which resolves every admitted query, so
+	// idle always closes.
+	<-idle
 	st := s.nodeStatz(n)
 	st.Phase = scaler.Retired.String()
 	if _, err := n.bridge.Retire(); err != nil {

@@ -435,13 +435,12 @@ func (s *Server) NumNodes() int { return len(s.all()) }
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Start launches every node's wall-clock bridge, all anchored to one epoch
-// so the per-GPU virtual clocks share a wall origin, plus each node's
-// admission combiner. Call once, before serving traffic.
+// so the per-GPU virtual clocks share a wall origin. Each bridge's loop is
+// its node's one goroutine. Call once, before serving traffic.
 func (s *Server) Start() {
 	s.epoch = time.Now()
 	for _, n := range s.all() {
 		n.bridge.StartAnchored(s.epoch)
-		go n.admitLoop(s)
 	}
 	if s.ctrl != nil {
 		go s.scaleLoop()
@@ -468,15 +467,11 @@ func (s *Server) Drain() {
 	nodes := s.all()
 	// Flush completes all admitted queries immediately in virtual time; the
 	// sinks close their done channels, unblocking every waiting handler.
-	// ErrStopped just means a previous Drain already won.
+	// Stop then answers anything still queued as draining and refuses later
+	// posts. ErrStopped just means a previous Drain already won.
 	for _, n := range nodes {
 		_ = n.bridge.Flush()
 		n.bridge.Stop()
-	}
-	// With the bridges stopped no admission can succeed; shut the mailboxes
-	// so queued and future enqueues answer as draining and admitLoop exits.
-	for _, n := range nodes {
-		n.stopMailbox()
 	}
 }
 
@@ -560,6 +555,7 @@ func (s *Server) onResult(n *node, q *sched.Query) {
 	}
 	n.Resolve(q, admit.Decision{PredMS: p.predMS, WorkMS: p.workMS})
 	n.publish()
+	n.retireIfIdle()
 
 	st := s.svc[n.global[q.Service.ID]]
 	st.mu.Lock()
@@ -658,9 +654,9 @@ func routable(nodes []*node, id, svc int) *node {
 // hand-rolled decoder returns views into it, and the response renders into
 // a reused encode buffer — zero steady-state allocations for decode,
 // validate, admission verdict, and encode (TestInferHotPathZeroAllocs).
-// Admission itself flows through the node's mailbox (node.admitLoop), so
-// while one batch is deciding on the loop goroutine, other handlers decode
-// and encode concurrently — the decode → admit → encode pipeline.
+// Admission itself is a pooled admitMsg posted to the node's bridge queue,
+// so while one batch is deciding on the loop goroutine, other handlers
+// decode and encode concurrently — the decode → admit → encode pipeline.
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, InferResponse{Error: "POST required"})
@@ -734,12 +730,13 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	}
 
 	m := getAdmitMsg()
+	m.n = n
 	m.svc, m.global = n.local[svcIdx], svcIdx
 	m.in = in
 	m.deadlineMS = req.DeadlineMS
 	m.requestID = requestID
 	m.migrated = migrated
-	if n.enqueue(m) {
+	if n.bridge.Post(m) {
 		<-m.done
 	} else {
 		m.draining = true
