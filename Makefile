@@ -73,7 +73,9 @@ test-paced:
 # pair checks the feature codec's round trip and the sampler's groups;
 # FuzzFitBlocked holds the blocked MLP trainer to the per-sample one bit for
 # bit; FuzzReadTrace checks that any tracev2 file the reader accepts rewrites
-# byte for byte. `go test -fuzz` takes one target per run.
+# byte for byte; FuzzWireRequestParse and FuzzAppendInferResponse hold the
+# gateway's wire codec to json.Decoder and json.Marshal. `go test -fuzz`
+# takes one target per run.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecSpan$$' -fuzztime 10s ./internal/dnn
@@ -81,6 +83,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSamplerSeeds$$' -fuzztime 10s ./internal/predictor
 	$(GO) test -run '^$$' -fuzz '^FuzzFitBlocked$$' -fuzztime 10s ./internal/ml
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 10s ./internal/workload
+	$(GO) test -run '^$$' -fuzz '^FuzzWireRequestParse$$' -fuzztime 10s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendInferResponse$$' -fuzztime 10s ./internal/server
 
 # bench/ is a nested module: `go build ./... && go test ./...` never compile
 # it, so an internal signature change can leave tier-1 green and the

@@ -9,6 +9,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -34,15 +35,19 @@ type WireRequest struct {
 }
 
 // Parse decodes one /v1/infer JSON object from data. Unknown fields are
-// skipped (matching encoding/json), known keys match exactly or
-// case-insensitively, and trailing bytes after the top-level object are
-// ignored (json.Decoder.Decode semantics). Numeric fields reject fractions
-// on integer targets the way encoding/json does.
+// skipped (matching encoding/json), known keys match exactly or under
+// Unicode case folding, and trailing bytes after the top-level value are
+// ignored (json.Decoder.Decode semantics); a top-level null decodes to the
+// zero request. Numeric fields reject fractions on integer targets the way
+// encoding/json does.
 func (w *WireRequest) Parse(data []byte) error {
 	esc := w.esc[:0]
 	*w = WireRequest{esc: esc}
-	p := jsonParser{b: data}
+	p := jsonParser{b: data, esc: &w.esc}
 	p.ws()
+	if p.i < len(p.b) && p.b[p.i] == 'n' {
+		return p.lit("null")
+	}
 	if !p.eat('{') {
 		return p.fail("expected object")
 	}
@@ -51,7 +56,7 @@ func (w *WireRequest) Parse(data []byte) error {
 		return nil
 	}
 	for {
-		key, err := p.str(&w.esc)
+		key, err := p.str()
 		if err != nil {
 			return err
 		}
@@ -85,7 +90,7 @@ func (w *WireRequest) field(p *jsonParser, key []byte) error {
 	var err error
 	switch {
 	case keyIs(key, "model"):
-		w.Model, err = p.str(&w.esc)
+		w.Model, err = p.str()
 	case keyIs(key, "batch"):
 		w.Batch, err = p.int("batch")
 	case keyIs(key, "seqlen"):
@@ -93,7 +98,7 @@ func (w *WireRequest) field(p *jsonParser, key []byte) error {
 	case keyIs(key, "deadline_ms"):
 		w.DeadlineMS, err = p.float("deadline_ms")
 	case keyIs(key, "request_id"):
-		w.RequestID, err = p.str(&w.esc)
+		w.RequestID, err = p.str()
 	case keyIs(key, "attempt"):
 		w.Attempt, err = p.int("attempt")
 	default:
@@ -102,30 +107,20 @@ func (w *WireRequest) field(p *jsonParser, key []byte) error {
 	return err
 }
 
-// keyIs matches a decoded key against a known field tag: exact bytes first,
-// then ASCII case folding (encoding/json accepts mis-cased keys).
+// keyIs matches a decoded key against a known field tag under the Unicode
+// simple case folding encoding/json matches keys with, so "ſeqlen" (long
+// s) names seqlen there too. No two tags fold together, so folding alone
+// decides.
 func keyIs(key []byte, tag string) bool {
-	if len(key) != len(tag) {
-		return false
-	}
-	for i := 0; i < len(key); i++ {
-		c := key[i]
-		if c == tag[i] {
-			continue
-		}
-		if c >= 'A' && c <= 'Z' && c+'a'-'A' == tag[i] {
-			continue
-		}
-		return false
-	}
-	return true
+	return bytes.EqualFold(key, []byte(tag))
 }
 
 // jsonParser is a cursor over one request body. All methods are
-// allocation-free except error construction.
+// allocation-free except error construction and the growth of esc.
 type jsonParser struct {
-	b []byte
-	i int
+	b   []byte
+	i   int
+	esc *[]byte // unescape scratch, shared by every string of one Parse
 }
 
 func (p *jsonParser) fail(msg string) error {
@@ -151,10 +146,11 @@ func (p *jsonParser) eat(c byte) bool {
 	return false
 }
 
-// str parses a JSON string. The fast path (no escapes) returns a view into
-// the input; escapes divert into the shared scratch, which only grows, so
-// earlier views stay valid within one Parse.
-func (p *jsonParser) str(esc *[]byte) ([]byte, error) {
+// str parses a JSON string. The fast path (no escapes, valid UTF-8)
+// returns a view into the input; escapes and invalid UTF-8 divert into the
+// shared scratch, which only grows, so earlier views stay valid within one
+// Parse.
+func (p *jsonParser) str() ([]byte, error) {
 	if !p.eat('"') {
 		return nil, p.fail("expected string")
 	}
@@ -166,18 +162,27 @@ func (p *jsonParser) str(esc *[]byte) ([]byte, error) {
 			p.i++
 			return s, nil
 		case c == '\\':
-			return p.strSlow(esc, start)
+			return p.strSlow(start)
 		case c < 0x20:
 			return nil, p.fail("control character in string")
-		default:
+		case c < utf8.RuneSelf:
 			p.i++
+		default:
+			r, size := utf8.DecodeRune(p.b[p.i:])
+			if r == utf8.RuneError && size == 1 {
+				return p.strSlow(start)
+			}
+			p.i += size
 		}
 	}
 	return nil, p.fail("unterminated string")
 }
 
-// strSlow finishes a string containing escapes, unescaping into esc.
-func (p *jsonParser) strSlow(esc *[]byte, start int) ([]byte, error) {
+// strSlow finishes a string containing escapes or invalid UTF-8,
+// unescaping into the scratch. Each byte of an invalid UTF-8 sequence
+// becomes U+FFFD, as encoding/json decodes it.
+func (p *jsonParser) strSlow(start int) ([]byte, error) {
+	esc := p.esc
 	from := len(*esc)
 	*esc = append(*esc, p.b[start:p.i]...)
 	for p.i < len(p.b) {
@@ -221,9 +226,13 @@ func (p *jsonParser) strSlow(esc *[]byte, start int) ([]byte, error) {
 			}
 		case c < 0x20:
 			return nil, p.fail("control character in string")
-		default:
+		case c < utf8.RuneSelf:
 			*esc = append(*esc, c)
 			p.i++
+		default:
+			r, size := utf8.DecodeRune(p.b[p.i:])
+			*esc = utf8.AppendRune(*esc, r)
+			p.i += size
 		}
 	}
 	return nil, p.fail("unterminated string")
@@ -285,13 +294,15 @@ func (p *jsonParser) hex4() (rune, error) {
 func (p *jsonParser) numToken() ([]byte, error) {
 	start := p.i
 	p.eat('-')
-	digits := 0
+	first := p.i
 	for p.i < len(p.b) && p.b[p.i] >= '0' && p.b[p.i] <= '9' {
 		p.i++
-		digits++
 	}
-	if digits == 0 {
+	switch digits := p.i - first; {
+	case digits == 0:
 		return nil, p.fail("expected number")
+	case digits > 1 && p.b[first] == '0':
+		return nil, p.fail("leading zero in number")
 	}
 	if p.eat('.') {
 		frac := 0
@@ -320,32 +331,17 @@ func (p *jsonParser) numToken() ([]byte, error) {
 	return p.b[start:p.i], nil
 }
 
-// int parses an integer field, rejecting fractions and exponents the way
-// encoding/json rejects non-integral numbers for int targets.
+// int parses an integer field over int's range, rejecting fractions and
+// exponents the way encoding/json rejects non-integral numbers for int
+// targets. As in float, the string conversion stays on the stack.
 func (p *jsonParser) int(field string) (int, error) {
 	tok, err := p.numToken()
 	if err != nil {
 		return 0, err
 	}
-	neg := false
-	i := 0
-	if tok[0] == '-' {
-		neg = true
-		i = 1
-	}
-	var v int64
-	for ; i < len(tok); i++ {
-		c := tok[i]
-		if c < '0' || c > '9' {
-			return 0, fmt.Errorf("field %s: number %s is not an integer", field, tok)
-		}
-		v = v*10 + int64(c-'0')
-		if v > math.MaxInt32 {
-			return 0, fmt.Errorf("field %s: integer %s out of range", field, tok)
-		}
-	}
-	if neg {
-		v = -v
+	v, err := strconv.ParseInt(string(tok), 10, strconv.IntSize)
+	if err != nil {
+		return 0, fmt.Errorf("field %s: %s is not an int", field, tok)
 	}
 	return int(v), nil
 }
@@ -380,7 +376,8 @@ func (p *jsonParser) skipValue(depth int) error {
 	}
 	switch c := p.b[p.i]; {
 	case c == '"':
-		return p.skipString()
+		_, err := p.str()
+		return err
 	case c == '{':
 		p.i++
 		p.ws()
@@ -389,7 +386,7 @@ func (p *jsonParser) skipValue(depth int) error {
 		}
 		for {
 			p.ws()
-			if err := p.skipString(); err != nil {
+			if _, err := p.str(); err != nil {
 				return err
 			}
 			p.ws()
@@ -437,25 +434,6 @@ func (p *jsonParser) skipValue(depth int) error {
 		_, err := p.numToken()
 		return err
 	}
-}
-
-// skipString consumes a string without unescaping it.
-func (p *jsonParser) skipString() error {
-	if !p.eat('"') {
-		return p.fail("expected string")
-	}
-	for p.i < len(p.b) {
-		switch p.b[p.i] {
-		case '"':
-			p.i++
-			return nil
-		case '\\':
-			p.i += 2
-		default:
-			p.i++
-		}
-	}
-	return p.fail("unterminated string")
 }
 
 func (p *jsonParser) lit(s string) error {
@@ -589,6 +567,10 @@ func appendJSONString(dst []byte, s string) []byte {
 			switch b {
 			case '\\', '"':
 				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
 			case '\n':
 				dst = append(dst, '\\', 'n')
 			case '\r':
