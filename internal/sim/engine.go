@@ -414,9 +414,10 @@ func (e *Engine) Run() {
 }
 
 // RunUntil executes events with timestamps <= deadline and then advances the
-// clock to exactly deadline (even if the queue drained earlier).
+// clock to exactly deadline (even if the queue drained earlier). It panics
+// on a deadline before now, and on NaN, which would leave the clock at NaN.
 func (e *Engine) RunUntil(deadline Time) {
-	if deadline < e.now {
+	if !(deadline >= e.now) {
 		panic(fmt.Sprintf("sim: RunUntil(%v) before now %v", deadline, e.now))
 	}
 	e.guardReentry(deadline)

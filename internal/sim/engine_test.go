@@ -208,6 +208,29 @@ func TestRunUntilPastPanics(t *testing.T) {
 	e.RunUntil(5)
 }
 
+// A NaN deadline fails every comparison, so a `deadline < now` guard let it
+// through and left the clock, and AdvanceTo's bound, at NaN.
+func TestRunUntilNaNPanics(t *testing.T) {
+	e := NewEngine()
+	fired := false
+	e.Schedule(5, func() { fired = true })
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("RunUntil(NaN) did not panic")
+			}
+		}()
+		e.RunUntil(math.NaN())
+	}()
+	if e.Now() != 0 || fired {
+		t.Errorf("after RunUntil(NaN): now %v, event fired %v; want 0, false", e.Now(), fired)
+	}
+	e.Run()
+	if !fired || e.Now() != 5 {
+		t.Errorf("engine unusable after RunUntil(NaN): now %v, event fired %v", e.Now(), fired)
+	}
+}
+
 func TestStepReturnsFalseWhenEmpty(t *testing.T) {
 	e := NewEngine()
 	if e.Step() {
