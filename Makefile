@@ -74,8 +74,10 @@ test-paced:
 # FuzzFitBlocked holds the blocked MLP trainer to the per-sample one bit for
 # bit; FuzzReadTrace checks that any tracev2 file the reader accepts rewrites
 # byte for byte; FuzzWireRequestParse and FuzzAppendInferResponse hold the
-# gateway's wire codec to json.Decoder and json.Marshal. `go test -fuzz`
-# takes one target per run.
+# gateway's wire codec to json.Decoder and json.Marshal;
+# FuzzInPlaceMatchesQueued holds a chain stepping in place on an idle device
+# to the queued event path, bit for bit. `go test -fuzz` takes one target per
+# run.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineOrder$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecSpan$$' -fuzztime 10s ./internal/dnn
@@ -85,6 +87,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 10s ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzWireRequestParse$$' -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendInferResponse$$' -fuzztime 10s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzInPlaceMatchesQueued$$' -fuzztime 10s ./internal/gpusim
 
 # bench/ is a nested module: `go build ./... && go test ./...` never compile
 # it, so an internal signature change can leave tier-1 green and the

@@ -397,28 +397,37 @@ func fireStalledLaunch(a any) {
 	d.launchNow(spec, fn, arg)
 }
 
+// launchNow makes spec resident from now on and re-rates the resident set:
+// fn(arg) runs when it completes.
 func (d *Device) launchNow(spec KernelSpec, fn func(any), arg any) {
-	d.admit(spec, fn, arg)
+	d.advance()
+	seq := d.launched
+	d.launched++
+	d.resident(spec, seq, d.eng.Now(), d.work(spec.Work), fn, arg)
 	d.reschedule()
 }
 
-// admit makes spec resident from now on, without re-rating: fn(arg) runs
-// when it completes.
-func (d *Device) admit(spec KernelSpec, fn func(any), arg any) *kernel {
-	d.advance()
-	w := spec.Work
+// work returns the work of one launch of a kernel of the given Work: w,
+// times the noise draw when noise is on.
+func (d *Device) work(w float64) float64 {
 	if d.noise != nil {
 		w *= math.Exp(d.noiseSigma * d.noise.NormFloat64())
 	}
+	return w
+}
+
+// resident appends a pooled kernel with the given state to the resident
+// set. Kernels are appended in launch order, so the set stays in ascending
+// seq order.
+func (d *Device) resident(spec KernelSpec, seq int64, start sim.Time, remaining float64, fn func(any), arg any) *kernel {
 	k := d.getKernel()
 	k.spec = spec
-	k.seq = d.launched
-	k.start = d.eng.Now()
-	k.remaining = w
+	k.seq = seq
+	k.start = start
+	k.remaining = remaining
 	k.doneFn = fn
 	k.doneArg = arg
-	d.running = append(d.running, k) // ascending seq: launched is monotonic
-	d.launched++
+	d.running = append(d.running, k)
 	return k
 }
 
@@ -492,40 +501,59 @@ func (c *chain) next() bool {
 
 // runOwned is the queue-free form of the launch → complete → launch-gap
 // cycle, for a chain launching onto an idle device with no stall or tracer
-// in force. Each step does exactly what the event it replaces would have
-// done, in the same float operations; the event itself is skipped whenever
-// sim.Engine.AdvanceTo proves it would fire next, and queued as usual the
-// first time anything else is due before it. runOwned runs in an event
-// callback and does nothing after its last AdvanceTo but that event's work,
-// which is what AdvanceTo requires.
+// in force. Its one kernel lives in local variables, and each step does what
+// launchNow, advance and the completion test would do for a lone kernel,
+// in the same float operations and order; soloRate is the rate computeRates
+// gives a lone kernel. Each event is skipped while sim.Engine.AdvanceTo
+// proves it would fire next. The loop gives up the first time it does not,
+// or when the kernel reaches its completion instant short of its work: only
+// then does the kernel become resident, as launchNow leaves it, with its
+// completion queued. lastUpdate is stored only then, since with nothing
+// resident advance only overwrites it. runOwned runs in an event callback
+// and does nothing after its last AdvanceTo but that event's work, which is
+// what AdvanceTo requires.
 func (c *chain) runOwned() {
 	d, eng := c.dev, c.dev.eng
+	now := eng.Now()
 	for {
 		spec := c.specs[c.i]
 		if err := spec.Validate(); err != nil {
 			panic(err)
 		}
-		k := d.admit(spec, advanceChainStep, c)
-		eta := d.rerate()
-		if !eng.AdvanceTo(eng.Now() + eta) {
+		remaining := d.work(spec.Work)
+		seq := d.launched
+		d.launched++
+		rate := d.soloRate(spec)
+		start, eta := now, remaining/rate
+		if !eng.AdvanceTo(now + eta) {
+			d.lastUpdate = now
+			d.resident(spec, seq, start, remaining, advanceChainStep, c).rate = rate
 			d.completion = eng.ScheduleArg(eta, fireCompletion, d)
 			return
 		}
-		d.advance()
-		if !k.done(eng.Now()) {
-			d.reschedule() // as onCompletion re-arms a kernel short of its work
+		now += eta
+		if dt := now - start; dt > 0 {
+			// advance's clamp at 0 is left out: a negative residue passes
+			// the completion test as 0 does, and is dropped.
+			d.busyTime += dt
+			remaining -= rate * dt
+			d.smTime += rate * spec.SMFrac * dt
+		}
+		if !done(remaining, rate, now) {
+			// As onCompletion re-arms a kernel short of its work.
+			d.lastUpdate = now
+			d.resident(spec, seq, start, remaining, advanceChainStep, c)
+			d.reschedule()
 			return
 		}
-		d.running[0] = nil
-		d.running = d.running[:0]
-		d.putKernel(k)
 		if !c.next() {
 			return
 		}
-		if !eng.AdvanceTo(eng.Now() + d.profile.LaunchGap) {
+		if !eng.AdvanceTo(now + d.profile.LaunchGap) {
 			eng.ScheduleArg(d.profile.LaunchGap, advanceChainLaunch, c)
 			return
 		}
+		now += d.profile.LaunchGap
 	}
 }
 
@@ -556,13 +584,13 @@ func (d *Device) advance() {
 // kernel has finished at its completion event.
 const completionEps = 1e-9
 
-// done reports whether k has finished at now: its residue is within
-// completionEps, or so small that its completion instant rounds to now.
-// Far from time zero a clock ulp exceeds completionEps (≈ 1.5e-8 ms a day
-// in), and re-arming such a kernel at now would fire again with nothing
-// integrated, forever.
-func (k *kernel) done(now sim.Time) bool {
-	return k.remaining <= completionEps || now+k.remaining/k.rate == now
+// done reports whether a kernel with remaining work left at rate has
+// finished at now: its residue is within completionEps, or so small that its
+// completion instant rounds to now. Far from time zero a clock ulp exceeds
+// completionEps (≈ 1.5e-8 ms a day in), and re-arming such a kernel at now
+// would fire again with nothing integrated, forever.
+func done(remaining, rate float64, now sim.Time) bool {
+	return remaining <= completionEps || now+remaining/rate == now
 }
 
 // fireCompletion dispatches the pooled completion event to its device.
@@ -608,7 +636,7 @@ func (d *Device) onCompletion() {
 	keep := resident[:0]
 	finished := d.finished[:0]
 	for _, k := range resident {
-		if k.done(now) {
+		if done(k.remaining, k.rate, now) {
 			finished = append(finished, k)
 		} else {
 			keep = append(keep, k)
@@ -672,8 +700,14 @@ func (d *Device) onCompletion() {
 // positive finite d, so each rate is smDegrade. The shortcut sets that
 // directly. Its sums run in index order, as maxMinSharesInto's do (a zero
 // MemFrac adds exactly nothing), so it takes the shortcut exactly when
-// maxMinSharesInto would grant every demand in full.
+// maxMinSharesInto would grant every demand in full. A lone kernel's rate is
+// soloRate's, the one definition runOwned shares.
 func (d *Device) computeRates() {
+	if len(d.running) == 1 {
+		k := d.running[0]
+		k.rate = d.soloRate(k.spec)
+		return
+	}
 	var smSum, memSum float64
 	for _, k := range d.running {
 		smSum += k.spec.SMFrac
@@ -715,6 +749,30 @@ func (d *Device) computeRates() {
 		// scales by the degradation factor, on top of contention.
 		k.rate = r * d.smDegrade
 	}
+}
+
+// soloRate is computeRates for a lone resident kernel running spec. When
+// the demand fits it is the shortcut's smDegrade; otherwise it is the
+// max-min result for one demand, whose share is min(demand, capacity), in
+// the general path's float operations and order.
+func (d *Device) soloRate(spec KernelSpec) float64 {
+	memCap := d.memCap * d.memDegrade
+	if spec.SMFrac <= d.smCap && spec.MemFrac <= memCap {
+		return d.smDegrade
+	}
+	r := min(spec.SMFrac, d.smCap) / spec.SMFrac
+	if spec.MemFrac > 0 {
+		if mr := min(spec.MemFrac, memCap) / spec.MemFrac; mr < r {
+			r = mr
+		}
+	}
+	if r <= 0 {
+		r = 1e-12 // as computeRates guards against underflow
+	}
+	if r > 1 {
+		r = 1
+	}
+	return r * d.smDegrade
 }
 
 // resizeFloats returns s resized to n, reusing the backing array when it is

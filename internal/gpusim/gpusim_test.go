@@ -198,14 +198,31 @@ func TestInvalidSpecPanics(t *testing.T) {
 			if err := spec.Validate(); err == nil {
 				t.Error("Validate() = nil, want error")
 			}
-			eng := sim.NewEngine()
-			d := New(eng, testProfile())
-			defer func() {
-				if recover() == nil {
-					t.Error("Launch did not panic")
-				}
-			}()
-			d.Launch(spec, nil)
+			// Launch checks the spec, and so does the loop of a chain that
+			// owns the idle device under Run: the bad spec follows a good
+			// one, so that loop, not an event, reaches it.
+			launches := []struct {
+				name string
+				run  func(eng *sim.Engine, d *Device)
+			}{
+				{"Launch", func(eng *sim.Engine, d *Device) { d.Launch(spec, nil) }},
+				{"RunChain under Run", func(eng *sim.Engine, d *Device) {
+					d.RunChain([]KernelSpec{{Name: "ok", Work: 1, SMFrac: 0.5}, spec}, nil)
+					eng.Run()
+				}},
+			}
+			for _, l := range launches {
+				eng := sim.NewEngine()
+				d := New(eng, testProfile())
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("%s did not panic", l.name)
+						}
+					}()
+					l.run(eng, d)
+				}()
+			}
 		})
 	}
 }
