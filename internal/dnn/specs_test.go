@@ -51,7 +51,7 @@ func TestSpecsMatchKernelFor(t *testing.T) {
 	for _, m := range All() {
 		id := ModelID(m.ID)
 		for _, in := range servedInputs(m) {
-			all := tab.Span(id, in, 0, m.NumOps())
+			all := tab.Span(id, in, 0, m.NumOps()).Specs()
 			if len(all) != m.NumOps() {
 				t.Fatalf("%s %+v: %d specs, want %d", m.Name, in, len(all), m.NumOps())
 			}
@@ -59,7 +59,7 @@ func TestSpecsMatchKernelFor(t *testing.T) {
 				t.Fatal(d)
 			}
 			start, end := m.NumOps()/3, 2*m.NumOps()/3
-			span := tab.Span(id, in, start, end)
+			span := tab.Span(id, in, start, end).Specs()
 			if len(span) != end-start || cap(span) != end-start || &span[0] != &all[start] {
 				t.Fatalf("%s %+v: span [%d,%d) is not a capped window onto the stored entry", m.Name, in, start, end)
 			}
@@ -69,7 +69,7 @@ func TestSpecsMatchKernelFor(t *testing.T) {
 	// Out of the served domain the table is bypassed, with the same values.
 	res50 := Get(ResNet50)
 	for _, in := range []Input{{Batch: 64}, {Batch: 2}, {Batch: 8, SeqLen: 16}} {
-		if d := diffKernelFor(tab.Span(ResNet50, in, 0, res50.NumOps()), res50, in, p, 0); d != "" {
+		if d := diffKernelFor(tab.Span(ResNet50, in, 0, res50.NumOps()).Specs(), res50, in, p, 0); d != "" {
 			t.Error(d)
 		}
 	}
@@ -86,7 +86,7 @@ func TestSpecsMatchKernelFor(t *testing.T) {
 			defer wg.Done()
 			for _, m := range All() {
 				for _, in := range servedInputs(m) {
-					first[w] = append(first[w], &shared.Span(ModelID(m.ID), in, 0, m.NumOps())[0])
+					first[w] = append(first[w], &shared.Span(ModelID(m.ID), in, 0, m.NumOps()).Specs()[0])
 				}
 			}
 		}(w)
@@ -126,7 +126,7 @@ func FuzzSpecSpan(f *testing.F) {
 		}
 		s := int(start) % (m.NumOps() + 1)
 		e := s + int(length)%(m.NumOps()-s+1)
-		got := tab.Span(ModelID(m.ID), in, s, e)
+		got := tab.Span(ModelID(m.ID), in, s, e).Specs()
 		if len(got) != e-s {
 			t.Fatalf("%s %+v [%d,%d): %d specs", m.Name, in, s, e, len(got))
 		}

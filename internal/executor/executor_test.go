@@ -329,7 +329,7 @@ func TestChainsLeaveSharedSpecsUnchanged(t *testing.T) {
 	for _, e := range g {
 		m := dnn.Get(e.Model)
 		want := dnn.Kernels(m, e.Input(), p, 0, m.NumOps())
-		for i, got := range specs.Span(e.Model, e.Input(), 0, m.NumOps()) {
+		for i, got := range specs.Span(e.Model, e.Input(), 0, m.NumOps()).Specs() {
 			if got != want[i] {
 				t.Fatalf("%s op %d: table holds %+v after the run, cost model says %+v", m.Name, i, got, want[i])
 			}

@@ -10,11 +10,12 @@ import (
 	"abacus/internal/sim"
 )
 
-// The device runs a chain that finds it idle without the event queue, but
-// only under Run/RunUntil: a hand-written Step loop always takes the queued
-// path. Driving the same groups both ways therefore checks, with no switch
-// in the code, that the in-place path changes nothing the executor or the
-// device can observe.
+// A chain that finds the device idle owns it, and under Run/RunUntil also
+// steps in place, skipping the event queue; a tracer excludes both, so a
+// Step loop with a tracer takes only the device's general path. Driving the
+// same groups under Run, under a Step loop, and under a Step loop with a
+// tracer therefore checks, with no switch in the code, that the owner's
+// paths change nothing the executor or the device can observe.
 
 // groupSequence is the base workload: a solo span, a two-span group whose
 // chains overlap, and another solo span, issued back to back.
@@ -46,8 +47,9 @@ type execScenario struct {
 }
 
 // driveGroups runs the base workload plus the scenario's perturbations,
-// with eng.Run (in-place allowed) or a Step loop (never in place). A tracer,
-// when given, is installed before anything runs.
+// with eng.Run (in place allowed) or a Step loop (never in place). A tracer,
+// when given, is installed before anything runs, and keeps every chain on
+// the general path.
 func driveGroups(sc execScenario, run bool, tracer gpusim.Tracer) (execOutcome, bool) {
 	eng := sim.NewEngine()
 	eng.Run() // a Run that has returned must not let a later Step loop go in place
@@ -122,20 +124,27 @@ func TestExecutorInPlaceMatchesQueued(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			got, pausedMid := driveGroups(sc, true, nil)
-			want, _ := driveGroups(sc, false, nil)
+			want, _ := driveGroups(sc, false, func(gpusim.KernelEvent) {})
+			stepped, _ := driveGroups(sc, false, nil)
+			inPlace, pausedMid := driveGroups(sc, true, nil)
 			if !pausedMid {
 				t.Fatalf("no kernel resident at the %v pause; it must fall mid-kernel", sc.pause)
 			}
-			if !slices.Equal(got.finishes, want.finishes) {
-				t.Errorf("group finishes: Run %v, Step loop %v", got.finishes, want.finishes)
-			}
-			if !slices.Equal(got.external, want.external) || !slices.Equal(got.seen, want.seen) {
-				t.Errorf("external events: Run saw (launched, resident) %v, Step loop %v", got.seen, want.seen)
-			}
-			if got.busy != want.busy || got.smTime != want.smTime || got.energy != want.energy || got.launched != want.launched {
-				t.Errorf("accounting: Run busy=%v sm=%v energy=%v launched=%d, Step loop %v %v %v %d",
-					got.busy, got.smTime, got.energy, got.launched, want.busy, want.smTime, want.energy, want.launched)
+			for _, side := range []struct {
+				name string
+				got  execOutcome
+			}{{"Step loop", stepped}, {"Run", inPlace}} {
+				got := side.got
+				if !slices.Equal(got.finishes, want.finishes) {
+					t.Errorf("group finishes: %s %v, general path %v", side.name, got.finishes, want.finishes)
+				}
+				if !slices.Equal(got.external, want.external) || !slices.Equal(got.seen, want.seen) {
+					t.Errorf("external events: %s saw (launched, resident) %v, general path %v", side.name, got.seen, want.seen)
+				}
+				if got.busy != want.busy || got.smTime != want.smTime || got.energy != want.energy || got.launched != want.launched {
+					t.Errorf("accounting: %s busy=%v sm=%v energy=%v launched=%d, general path %v %v %v %d",
+						side.name, got.busy, got.smTime, got.energy, got.launched, want.busy, want.smTime, want.energy, want.launched)
+				}
 			}
 		})
 	}

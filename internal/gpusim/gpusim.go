@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 
 	"abacus/internal/sim"
 )
@@ -90,12 +89,38 @@ func A100Profile() Profile {
 	}
 }
 
+// CheckedSpecs is a kernel chain every spec of which has passed Validate.
+// CheckSpecs is the only way to make one, so a chain run from it needs no
+// check per launch. Its specs are shared, never copied, and must not be
+// written.
+type CheckedSpecs struct{ specs []KernelSpec }
+
+// CheckSpecs validates every spec and returns them as checked. It panics on
+// an invalid spec, as Launch does: specs are produced by the cost model, so
+// an invalid one is a programming error.
+func CheckSpecs(specs []KernelSpec) CheckedSpecs {
+	for _, s := range specs {
+		if err := s.Validate(); err != nil {
+			panic(err)
+		}
+	}
+	return CheckedSpecs{specs}
+}
+
+// Slice returns specs [start, end) as a capped window onto the same
+// backing array. It panics on an invalid range, as slicing does.
+func (c CheckedSpecs) Slice(start, end int) CheckedSpecs {
+	return CheckedSpecs{c.specs[start:end:end]}
+}
+
+// Specs returns the checked specs, which the caller must not write.
+func (c CheckedSpecs) Specs() []KernelSpec { return c.specs }
+
 // kernel is a resident kernel's bookkeeping. Kernel objects are pooled per
 // device; the done callback is stored as a (func(any), arg) pair so kernel
 // completion never requires a closure allocation.
 type kernel struct {
 	spec      KernelSpec
-	seq       int64    // launch order, for deterministic callback ordering
 	start     sim.Time // launch instant, for tracing
 	remaining float64  // work left, ms at full rate
 	rate      float64  // current progress rate in (0, 1]
@@ -107,7 +132,7 @@ type kernel struct {
 // object per in-flight chain instead of one closure per step.
 type chain struct {
 	dev     *Device
-	specs   []KernelSpec
+	specs   []KernelSpec // checked
 	i       int
 	doneFn  func(any)
 	doneArg any
@@ -131,13 +156,22 @@ type Device struct {
 	smCap   float64 // capacity in units of "fraction of a full device"
 	memCap  float64
 
-	// running is the resident set in ascending launch-sequence order. The
-	// fixed order makes the float accumulation in advance and computeRates
-	// deterministic (a map here would sum in random iteration order, making
-	// SMTime/Energy differ in the low bits across runs).
+	// running is the resident set in launch order: launchNow appends, and
+	// runOwned and settle append only to an empty set. The fixed order makes
+	// the float accumulation in advance and computeRates deterministic (a
+	// map here would sum in random iteration order, making SMTime/Energy
+	// differ in the low bits across runs), and it is the order in which
+	// kernels finishing at one instant call back.
 	running    []*kernel
 	lastUpdate sim.Time
 	completion sim.Handle
+
+	// owner, when non-nil, is the chain whose loop stopped at a completion
+	// instant (own): nothing is resident, its kernel's state is in owned,
+	// and its completion is queued. settle makes that kernel resident before
+	// anything else reads or changes the device.
+	owner *chain
+	owned kernel
 
 	// Pools and scratch: recycled across launches so the steady-state
 	// launch/complete cycle allocates nothing.
@@ -285,7 +319,7 @@ func (d *Device) SetLaunchStall(ms float64) {
 func (d *Device) LaunchStall() float64 { return d.launchStall }
 
 // Resident reports the number of kernels currently executing.
-func (d *Device) Resident() int { return len(d.running) }
+func (d *Device) Resident() int { d.settle(); return len(d.running) }
 
 // Launched reports the total number of kernels launched so far.
 func (d *Device) Launched() int64 { return d.launched }
@@ -364,6 +398,9 @@ func callFunc0(a any) { a.(func())() }
 // completes. Launch panics on an invalid spec: specs are produced by the
 // cost model, so an invalid one is a programming error.
 func (d *Device) Launch(spec KernelSpec, done func()) {
+	if err := spec.Validate(); err != nil {
+		panic(err)
+	}
 	if done == nil {
 		d.launchArg(spec, nil, nil)
 		return
@@ -371,12 +408,9 @@ func (d *Device) Launch(spec KernelSpec, done func()) {
 	d.launchArg(spec, callFunc0, done)
 }
 
-// launchArg is the allocation-free launch primitive: fn(arg) runs when the
-// kernel completes.
+// launchArg is the allocation-free launch primitive for a checked spec:
+// fn(arg) runs when the kernel completes.
 func (d *Device) launchArg(spec KernelSpec, fn func(any), arg any) {
-	if err := spec.Validate(); err != nil {
-		panic(err)
-	}
 	if d.launchStall > 0 {
 		// The stall defers the launch on the virtual clock; the stall in
 		// force at Launch time is the one paid, even if cleared meanwhile.
@@ -401,9 +435,8 @@ func fireStalledLaunch(a any) {
 // fn(arg) runs when it completes.
 func (d *Device) launchNow(spec KernelSpec, fn func(any), arg any) {
 	d.advance()
-	seq := d.launched
 	d.launched++
-	d.resident(spec, seq, d.eng.Now(), d.work(spec.Work), fn, arg)
+	d.resident(spec, d.eng.Now(), d.work(spec.Work), fn, arg)
 	d.reschedule()
 }
 
@@ -417,12 +450,10 @@ func (d *Device) work(w float64) float64 {
 }
 
 // resident appends a pooled kernel with the given state to the resident
-// set. Kernels are appended in launch order, so the set stays in ascending
-// seq order.
-func (d *Device) resident(spec KernelSpec, seq int64, start sim.Time, remaining float64, fn func(any), arg any) *kernel {
+// set, which stays in launch order.
+func (d *Device) resident(spec KernelSpec, start sim.Time, remaining float64, fn func(any), arg any) *kernel {
 	k := d.getKernel()
 	k.spec = spec
-	k.seq = seq
 	k.start = start
 	k.remaining = remaining
 	k.doneFn = fn
@@ -431,31 +462,44 @@ func (d *Device) resident(spec KernelSpec, seq int64, start sim.Time, remaining 
 	return k
 }
 
+// settle makes an owned kernel resident, in the state launchNow would have
+// left it in; own already set lastUpdate to its launch and queued its
+// completion.
+func (d *Device) settle() {
+	if c := d.owner; c != nil {
+		d.owner = nil
+		k := &d.owned
+		d.resident(k.spec, k.start, k.remaining, advanceChainStep, c).rate = k.rate
+	}
+}
+
 // RunChain executes specs as a dependent chain: each kernel launches
 // LaunchGap after its predecessor completes (the first after an initial
 // gap). done, if non-nil, runs when the last kernel finishes. An empty chain
 // completes immediately. RunChain returns without blocking; execution
-// proceeds on the virtual clock.
+// proceeds on the virtual clock. It checks every spec first and panics on
+// an invalid one, as Launch does.
 func (d *Device) RunChain(specs []KernelSpec, done func()) {
 	if done == nil {
-		d.RunChainArg(specs, nil, nil)
+		d.RunChainArg(CheckSpecs(specs), nil, nil)
 		return
 	}
-	d.RunChainArg(specs, callFunc0, done)
+	d.RunChainArg(CheckSpecs(specs), callFunc0, done)
 }
 
 // RunChainArg is the allocation-free variant of RunChain: the chain is
 // driven by a pooled cursor, and fn(arg) runs when the last kernel
-// finishes. The specs slice must stay unmodified until then.
-func (d *Device) RunChainArg(specs []KernelSpec, fn func(any), arg any) {
-	if len(specs) == 0 {
+// finishes. Its specs were checked where they were made, so no launch of
+// the chain checks them again.
+func (d *Device) RunChainArg(specs CheckedSpecs, fn func(any), arg any) {
+	if len(specs.specs) == 0 {
 		if fn != nil {
 			fn(arg)
 		}
 		return
 	}
 	c := d.getChain()
-	c.specs = specs
+	c.specs = specs.specs
 	c.i = 0
 	c.doneFn = fn
 	c.doneArg = arg
@@ -464,12 +508,13 @@ func (d *Device) RunChainArg(specs []KernelSpec, fn func(any), arg any) {
 
 // advanceChainLaunch fires after a launch gap: it launches the chain's
 // current kernel with the cursor itself as the completion callback. A chain
-// that finds the device idle runs in place instead (runOwned).
+// that finds the device idle, with nothing resident or owned, runs in place
+// instead (runOwned).
 func advanceChainLaunch(a any) {
 	c := a.(*chain)
 	d := c.dev
-	if len(d.running) == 0 && d.launchStall == 0 && d.tracer == nil {
-		c.runOwned()
+	if len(d.running) == 0 && d.owner == nil && d.launchStall == 0 && d.tracer == nil {
+		c.runOwned(false)
 		return
 	}
 	d.launchArg(c.specs[c.i], advanceChainStep, c)
@@ -479,56 +524,74 @@ func advanceChainLaunch(a any) {
 // the next launch gap or retires the cursor and runs the chain's callback.
 func advanceChainStep(a any) {
 	c := a.(*chain)
-	if c.next() {
+	if c.i++; c.i < len(c.specs) {
 		c.dev.eng.ScheduleArg(c.dev.profile.LaunchGap, advanceChainLaunch, c)
+		return
 	}
+	c.finish()
 }
 
-// next moves the cursor past a completed kernel. At the end of the chain it
-// retires the cursor, runs the chain's callback and reports false.
-func (c *chain) next() bool {
-	c.i++
-	if c.i < len(c.specs) {
-		return true
-	}
+// finish retires the cursor of a chain whose last kernel completed and runs
+// the chain's callback.
+func (c *chain) finish() {
 	d, fn, arg := c.dev, c.doneFn, c.doneArg
 	d.putChain(c)
 	if fn != nil {
 		fn(arg)
 	}
-	return false
 }
 
 // runOwned is the queue-free form of the launch → complete → launch-gap
-// cycle, for a chain launching onto an idle device with no stall or tracer
-// in force. Its one kernel lives in local variables, and each step does what
-// launchNow, advance and the completion test would do for a lone kernel,
-// in the same float operations and order; soloRate is the rate computeRates
-// gives a lone kernel. Each event is skipped while sim.Engine.AdvanceTo
-// proves it would fire next. The loop gives up the first time it does not,
-// or when the kernel reaches its completion instant short of its work: only
-// then does the kernel become resident, as launchNow leaves it, with its
-// completion queued. lastUpdate is stored only then, since with nothing
+// cycle, for a chain that owns the device: one entered at a launch instant
+// on an idle device with no stall or tracer in force, or (retired) at the
+// completion instant of its owned kernel c.i, which completeOwned has
+// retired. Its one kernel lives in local variables, and each step does what
+// launchNow, advance and the completion test would do for a lone kernel, in
+// the same float operations and order; soloRate is the rate computeRates
+// gives a lone kernel.
+//
+// The loop reads the engine's horizon once and runs on a local clock,
+// taking each next event in place while the horizon admits it, as
+// sim.Engine.AdvanceTo would. It sets the engine's clock once, before it
+// calls back, schedules or returns. It stops at the chain's end, or where
+// an event does not fit: a launch gap is then queued as an event, and a
+// completion makes the chain the device's owner, with that completion
+// queued (own). A kernel that reaches its completion instant short of its
+// work becomes resident and is re-armed, as onCompletion does. lastUpdate
+// is stored only when the loop stops with a kernel, since with nothing
 // resident advance only overwrites it. runOwned runs in an event callback
-// and does nothing after its last AdvanceTo but that event's work, which is
-// what AdvanceTo requires.
-func (c *chain) runOwned() {
+// and does nothing after its steps but their work, which is what AdvanceTo
+// requires.
+func (c *chain) runOwned(retired bool) {
 	d, eng := c.dev, c.dev.eng
+	bound, next := eng.Horizon()
 	now := eng.Now()
 	for {
-		spec := c.specs[c.i]
-		if err := spec.Validate(); err != nil {
-			panic(err)
+		if retired {
+			if c.i++; c.i == len(c.specs) {
+				eng.AdvanceTo(now)
+				c.finish()
+				return
+			}
+			// The launch gap's event would see this device state, and runs
+			// in place only if advanceChainLaunch would: a launch stall set
+			// while the chain owned the device stops it.
+			if t := now + d.profile.LaunchGap; !(t <= bound && t < next) || d.launchStall != 0 {
+				eng.AdvanceTo(now)
+				eng.ScheduleArg(d.profile.LaunchGap, advanceChainLaunch, c)
+				return
+			}
+			now += d.profile.LaunchGap
 		}
+		retired = true
+		spec := c.specs[c.i]
 		remaining := d.work(spec.Work)
-		seq := d.launched
 		d.launched++
 		rate := d.soloRate(spec)
 		start, eta := now, remaining/rate
-		if !eng.AdvanceTo(now + eta) {
-			d.lastUpdate = now
-			d.resident(spec, seq, start, remaining, advanceChainStep, c).rate = rate
-			d.completion = eng.ScheduleArg(eta, fireCompletion, d)
+		if t := now + eta; !(t <= bound && t < next) {
+			eng.AdvanceTo(now)
+			d.own(c, spec, start, remaining, rate, eta)
 			return
 		}
 		now += eta
@@ -540,27 +603,60 @@ func (c *chain) runOwned() {
 			d.smTime += rate * spec.SMFrac * dt
 		}
 		if !done(remaining, rate, now) {
-			// As onCompletion re-arms a kernel short of its work.
-			d.lastUpdate = now
-			d.resident(spec, seq, start, remaining, advanceChainStep, c)
-			d.reschedule()
+			eng.AdvanceTo(now)
+			d.rearm(c, spec, start, remaining)
 			return
 		}
-		if !c.next() {
-			return
-		}
-		if !eng.AdvanceTo(now + d.profile.LaunchGap) {
-			eng.ScheduleArg(d.profile.LaunchGap, advanceChainLaunch, c)
-			return
-		}
-		now += d.profile.LaunchGap
 	}
 }
 
+// own makes c the owner of the idle device: its kernel, launched at start,
+// which is now, keeps the state launchNow would give it off the resident
+// set, and its completion is queued eta from now, as reschedule would.
+func (d *Device) own(c *chain, spec KernelSpec, start sim.Time, remaining, rate float64, eta sim.Time) {
+	d.lastUpdate = start
+	d.owner = c
+	d.owned = kernel{spec: spec, start: start, remaining: remaining, rate: rate}
+	d.completion = d.eng.ScheduleArg(eta, fireCompletion, d)
+}
+
+// rearm makes a chain kernel that reached its completion instant short of
+// its work resident, and queues its completion again, as onCompletion
+// re-arms a kernel it does not retire.
+func (d *Device) rearm(c *chain, spec KernelSpec, start sim.Time, remaining float64) {
+	d.lastUpdate = d.eng.Now()
+	d.resident(spec, start, remaining, advanceChainStep, c)
+	d.reschedule()
+}
+
+// completeOwned is onCompletion for the owner's kernel, with nothing else
+// resident: it applies advance's updates in advance's float operations and
+// order, runs the completion test, and either re-arms the kernel or retires
+// it and continues the chain in place.
+func (d *Device) completeOwned() {
+	c, k := d.owner, &d.owned
+	d.owner = nil
+	d.completion = sim.Handle{}
+	now := d.eng.Now()
+	if dt := now - d.lastUpdate; dt > 0 {
+		// advance's clamp at 0 is left out, as in runOwned.
+		d.busyTime += dt
+		k.remaining -= k.rate * dt
+		d.smTime += k.rate * k.spec.SMFrac * dt
+	}
+	if !done(k.remaining, k.rate, now) {
+		d.rearm(c, k.spec, k.start, k.remaining)
+		return
+	}
+	c.runOwned(true)
+}
+
 // advance integrates kernel progress from lastUpdate to now at the current
-// (piecewise-constant) rates. The resident slice is in launch order, so the
-// float accumulation into smTime is order-deterministic.
+// (piecewise-constant) rates, after settling an owned kernel. The resident
+// slice is in launch order, so the float accumulation into smTime is
+// order-deterministic.
 func (d *Device) advance() {
+	d.settle()
 	now := d.eng.Now()
 	dt := now - d.lastUpdate
 	if dt <= 0 {
@@ -594,7 +690,14 @@ func done(remaining, rate float64, now sim.Time) bool {
 }
 
 // fireCompletion dispatches the pooled completion event to its device.
-func fireCompletion(a any) { a.(*Device).onCompletion() }
+func fireCompletion(a any) {
+	d := a.(*Device)
+	if d.owner != nil {
+		d.completeOwned()
+		return
+	}
+	d.onCompletion()
+}
 
 // reschedule recomputes rates for the resident set and re-arms the next
 // completion event.
@@ -648,20 +751,8 @@ func (d *Device) onCompletion() {
 	d.running = keep
 	d.finished = finished
 	d.reschedule()
-	// Callbacks run in launch order so simultaneous completions resolve
-	// deterministically. The resident slice is kept in launch order, so
-	// finished inherits it; the sort is a structural guard (O(n) on sorted
-	// input, allocation-free).
-	slices.SortFunc(finished, func(a, b *kernel) int {
-		switch {
-		case a.seq < b.seq:
-			return -1
-		case a.seq > b.seq:
-			return 1
-		default:
-			return 0
-		}
-	})
+	// finished inherits the resident slice's launch order, so simultaneous
+	// completions call back in launch order.
 	if d.tracer != nil {
 		now := d.eng.Now()
 		for _, k := range finished {

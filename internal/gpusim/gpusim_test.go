@@ -3,6 +3,7 @@ package gpusim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -198,15 +199,15 @@ func TestInvalidSpecPanics(t *testing.T) {
 			if err := spec.Validate(); err == nil {
 				t.Error("Validate() = nil, want error")
 			}
-			// Launch checks the spec, and so does the loop of a chain that
-			// owns the idle device under Run: the bad spec follows a good
-			// one, so that loop, not an event, reaches it.
+			// Launch checks the spec, and RunChain checks every spec of the
+			// chain when it is issued: the bad spec follows a good one,
+			// which would run in place under Run.
 			launches := []struct {
 				name string
 				run  func(eng *sim.Engine, d *Device)
 			}{
 				{"Launch", func(eng *sim.Engine, d *Device) { d.Launch(spec, nil) }},
-				{"RunChain under Run", func(eng *sim.Engine, d *Device) {
+				{"RunChain", func(eng *sim.Engine, d *Device) {
 					d.RunChain([]KernelSpec{{Name: "ok", Work: 1, SMFrac: 0.5}, spec}, nil)
 					eng.Run()
 				}},
@@ -224,6 +225,39 @@ func TestInvalidSpecPanics(t *testing.T) {
 				}()
 			}
 		})
+	}
+}
+
+// TestSimultaneousCompletionsCallBackInLaunchOrder: kernels that finish at
+// one instant call back in launch order, which the resident set keeps by
+// construction. Names run against launch order, so that an order by name
+// fails. In the second case a chain's kernel is owned when a plain launch
+// joins it at its launch instant, so the owned kernel is settled first.
+func TestSimultaneousCompletionsCallBackInLaunchOrder(t *testing.T) {
+	for _, run := range []bool{true, false} {
+		eng := sim.NewEngine()
+		d := New(eng, testProfile())
+		var order []string
+		record := func(name string) func() { return func() { order = append(order, name) } }
+		for _, name := range []string{"c", "b", "a"} {
+			d.Launch(KernelSpec{Name: name, Work: 1, SMFrac: 0.2, MemFrac: 0.1}, record(name))
+		}
+		gap := d.Profile().LaunchGap
+		eng.ScheduleAt(5, func() {
+			d.RunChain([]KernelSpec{{Name: "z", Work: 1, SMFrac: 0.2}}, record("z"))
+			eng.ScheduleAt(5+gap, func() {
+				d.Launch(KernelSpec{Name: "y", Work: 1, SMFrac: 0.2}, record("y"))
+			})
+		})
+		if run {
+			eng.Run()
+		} else {
+			for eng.Step() {
+			}
+		}
+		if want := []string{"c", "b", "a", "z", "y"}; !slices.Equal(order, want) {
+			t.Errorf("run=%v: callbacks in order %v, want launch order %v", run, order, want)
+		}
 	}
 }
 

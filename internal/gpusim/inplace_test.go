@@ -9,19 +9,41 @@ import (
 	"abacus/internal/sim"
 )
 
-// A chain that finds the device idle skips the event queue only while a
-// Run/RunUntil loop is active (sim.Engine.AdvanceTo); a hand-written Step
-// loop never lets it. Driving one workload both ways is therefore a
-// differential test of the in-place path against the queued one, with no
+// A chain that finds the device idle owns it: it steps in place while
+// sim.Engine.AdvanceTo would let it, which only a Run/RunUntil loop does,
+// and otherwise keeps its kernel off the resident set until its completion
+// fires or something else touches the device. A tracer excludes both, so a
+// Step loop with a tracer installed runs every kernel through launchNow and
+// onCompletion. Driving one workload those ways is therefore a
+// differential test of the owner's paths against the general one, with no
 // switch in the code.
 
+// drive is how a differential run steps the engine.
+type drive int
+
+const (
+	// general is the reference: a Step loop with a tracer installed, so
+	// every launch goes through launchNow and every completion through
+	// onCompletion.
+	general drive = iota
+	// stepped is a Step loop with no tracer: a chain owns an idle device
+	// and completes its kernels through completeOwned, but never takes an
+	// event in place.
+	stepped
+	// inPlace is eng.Run, where the owner also steps in place.
+	inPlace
+)
+
+func (how drive) String() string { return [...]string{"general", "stepped", "in place"}[how] }
+
 // mark is one observation a workload makes: a callback firing, with the
-// device state it saw.
+// device state it saw, or a value it read.
 type mark struct {
 	what     string
 	at       sim.Time
 	launched int64
 	resident int
+	val      float64
 }
 
 // deviceOutcome is everything a workload can observe on the device, and
@@ -33,19 +55,98 @@ type deviceOutcome struct {
 	launched     int64
 	panicked     string
 
-	idleAtPause bool // the Run side found nothing resident at its pause
+	idleAtPause bool  // the Run side found nothing resident at its pause
+	owned       int   // touches that found a chain owning the device
+	traced      int64 // completions the tracer saw, on the general side
 }
 
-// observer hands out callbacks that record a mark when they fire.
+// observer hands out callbacks that record a mark when they fire, and
+// touches the device as a workload's other events do.
 type observer struct {
-	eng   *sim.Engine
-	d     *Device
-	marks []mark
+	eng      *sim.Engine
+	d        *Device
+	how      drive
+	marks    []mark
+	owned    int
+	tracing  bool // a workload's tracer is on: trace records marks
+	traced   int64
+	instants []sim.Time // every traced kernel's launch and completion
 }
 
+// note returns a callback that records a mark named what.
 func (o *observer) note(what string) func() {
-	return func() {
-		o.marks = append(o.marks, mark{what, o.eng.Now(), o.d.Launched(), o.d.Resident()})
+	return func() { o.touch(what, touchNote) }
+}
+
+// touchKind is one way an event touches the device.
+type touchKind int
+
+const (
+	touchNote     touchKind = iota // Resident
+	touchBusy                      // BusyTime
+	touchSM                        // SMTime
+	touchEnergy                    // Energy
+	touchUtil                      // Utilization
+	touchTraceOn                   // SetTracer with a tracer that records marks
+	touchTraceOff                  // SetTracer(nil)
+	touchLaunch                    // a one-kernel chain
+	touchDegrade                   // SetDegradation(0.5, 0.5)
+	touchHeal                      // SetDegradation(1, 1)
+	numTouches
+)
+
+// touchSpec is the kernel touchLaunch runs.
+var touchSpec = KernelSpec{Name: "t", Work: 0.3, SMFrac: 0.5, MemFrac: 0.4}
+
+// touch does one touch now and records it as a mark named what, with the
+// value it read, if any.
+func (o *observer) touch(what string, kind touchKind) {
+	if o.d.owner != nil {
+		o.owned++
+	}
+	m := mark{what: what, at: o.eng.Now()}
+	switch kind {
+	case touchBusy:
+		m.val = o.d.BusyTime()
+	case touchSM:
+		m.val = o.d.SMTime()
+	case touchEnergy:
+		m.val = o.d.Energy(A100Energy())
+	case touchUtil:
+		m.val = o.d.Utilization()
+	case touchTraceOn, touchTraceOff:
+		o.setTracing(kind == touchTraceOn)
+	case touchLaunch:
+		o.d.RunChain([]KernelSpec{touchSpec}, nil)
+	case touchDegrade:
+		o.d.SetDegradation(0.5, 0.5)
+	case touchHeal:
+		o.d.SetDegradation(1, 1)
+	}
+	// Only a note reads Resident, which settles an owned kernel itself.
+	m.launched = o.d.Launched()
+	if kind == touchNote {
+		m.resident = o.d.Resident()
+	}
+	o.marks = append(o.marks, m)
+}
+
+// setTracing turns the workload's tracer on or off. The general side keeps
+// a tracer installed throughout, so that it never leaves the general path.
+func (o *observer) setTracing(on bool) {
+	o.tracing = on
+	if on || o.how == general {
+		o.d.SetTracer(o.trace)
+		return
+	}
+	o.d.SetTracer(nil)
+}
+
+func (o *observer) trace(e KernelEvent) {
+	o.traced++
+	o.instants = append(o.instants, e.Start, e.Finish)
+	if o.tracing {
+		o.marks = append(o.marks, mark{what: "trace " + e.Name, at: e.Finish, val: e.Start})
 	}
 }
 
@@ -57,6 +158,7 @@ type inPlaceScenario struct {
 	setup     func(eng *sim.Engine, d *Device, o *observer)
 	partition [2]float64
 	pause     sim.Time
+	touches   bool // some touch must find a chain owning the device
 }
 
 // device returns the scenario's fresh device on eng.
@@ -68,26 +170,28 @@ func (sc inPlaceScenario) device(eng *sim.Engine) *Device {
 	return d
 }
 
-// driveDevice runs the scenario on a fresh device, with eng.Run (the
-// in-place path is allowed) or with a Step loop (it never is). A panic, such
-// as a launch's range check failing, ends the run and is recorded.
-func driveDevice(sc inPlaceScenario, run bool) (out deviceOutcome) {
+// driveDevice runs the scenario on a fresh device, driven as how says. A
+// panic, such as a range check failing, ends the run and is recorded.
+func driveDevice(sc inPlaceScenario, how drive) (out deviceOutcome) {
 	eng := sim.NewEngine()
 	eng.Run() // a Run that has returned must not let a later Step loop go in place
 	d := sc.device(eng)
-	o := &observer{eng: eng, d: d}
+	o := &observer{eng: eng, d: d, how: how}
+	if how == general {
+		o.setTracing(false)
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			out.panicked = fmt.Sprint(r)
 		}
-		out.marks = o.marks
+		out.marks, out.owned, out.traced = o.marks, o.owned, o.traced
 		out.busy, out.smTime = d.BusyTime(), d.SMTime()
 		out.energy = d.Energy(A100Energy())
 		out.launched = d.Launched()
 	}()
 	sc.setup(eng, d, o)
 	switch {
-	case !run:
+	case how != inPlace:
 		for eng.Step() {
 		}
 		if sc.pause > eng.Now() {
@@ -103,25 +207,49 @@ func driveDevice(sc inPlaceScenario, run bool) (out deviceOutcome) {
 	return out
 }
 
-// requireSameOutcome fails unless the Run side observed exactly what the
-// Step loop did.
-func requireSameOutcome(t *testing.T, got, want deviceOutcome) {
+// requireGeneral fails unless the reference ran every kernel through
+// onCompletion, whose tracer call is the only one, and never found a chain
+// owning the device.
+func requireGeneral(t *testing.T, ref deviceOutcome) {
+	t.Helper()
+	if ref.panicked == "" && ref.traced != ref.launched {
+		t.Errorf("general side: %d of %d kernels completed through onCompletion", ref.traced, ref.launched)
+	}
+	if ref.owned != 0 {
+		t.Errorf("general side: %d touches found a chain owning the device", ref.owned)
+	}
+}
+
+// requireSameOutcome fails unless got, driven as how, observed exactly
+// what the general reference want did.
+func requireSameOutcome(t *testing.T, how drive, got, want deviceOutcome) {
 	t.Helper()
 	if got.panicked != want.panicked {
-		t.Errorf("panic: Run %q, Step loop %q", got.panicked, want.panicked)
+		t.Errorf("panic: %v %q, general %q", how, got.panicked, want.panicked)
 	}
 	if len(got.marks) != len(want.marks) {
-		t.Fatalf("Run observed %d callbacks, Step loop %d", len(got.marks), len(want.marks))
+		t.Fatalf("%v observed %d callbacks, general %d", how, len(got.marks), len(want.marks))
 	}
 	for i := range got.marks {
 		if got.marks[i] != want.marks[i] {
-			t.Errorf("callback %d: Run %+v, Step loop %+v", i, got.marks[i], want.marks[i])
+			t.Errorf("callback %d: %v %+v, general %+v", i, how, got.marks[i], want.marks[i])
 		}
 	}
 	if got.busy != want.busy || got.smTime != want.smTime || got.energy != want.energy || got.launched != want.launched {
-		t.Errorf("accounting: Run busy=%v sm=%v energy=%v launched=%d, Step loop %v %v %v %d",
-			got.busy, got.smTime, got.energy, got.launched, want.busy, want.smTime, want.energy, want.launched)
+		t.Errorf("accounting: %v busy=%v sm=%v energy=%v launched=%d, general %v %v %v %d",
+			how, got.busy, got.smTime, got.energy, got.launched, want.busy, want.smTime, want.energy, want.launched)
 	}
+}
+
+// compareDrives drives sc all three ways and requires the stepped and
+// in-place runs to match the general one; it returns all three outcomes.
+func compareDrives(t *testing.T, sc inPlaceScenario) (ref, step, run deviceOutcome) {
+	t.Helper()
+	ref, step, run = driveDevice(sc, general), driveDevice(sc, stepped), driveDevice(sc, inPlace)
+	requireGeneral(t, ref)
+	requireSameOutcome(t, stepped, step, ref)
+	requireSameOutcome(t, inPlace, run, ref)
+	return ref, step, run
 }
 
 var (
@@ -138,14 +266,18 @@ var (
 )
 
 // kernelInstants returns every launch and completion instant of a
-// scenario's kernels, taken from a Step-driven dry run with a tracer. A
-// panic ends the dry run; the instants before it are returned.
+// scenario's kernels, taken from a general-path dry run. A panic ends the
+// dry run; the instants before it are returned.
 func kernelInstants(sc inPlaceScenario) (at []sim.Time) {
 	eng := sim.NewEngine()
 	d := sc.device(eng)
-	d.SetTracer(func(e KernelEvent) { at = append(at, e.Start, e.Finish) })
-	defer func() { recover() }()
-	sc.setup(eng, d, &observer{eng: eng, d: d})
+	o := &observer{eng: eng, d: d, how: general}
+	o.setTracing(false)
+	defer func() {
+		recover()
+		at = o.instants
+	}()
+	sc.setup(eng, d, o)
 	for eng.Step() {
 	}
 	return at
@@ -225,32 +357,56 @@ func inPlaceScenarios() []inPlaceScenario {
 	for i := 0; i < len(instants); i += 2 {
 		launches = append(launches, instants[i])
 	}
+	// Touches halfway through the solo chain's kernels, the i-th in kernel
+	// i: the touch is pending when that kernel launches, so its loop gives
+	// up and the chain owns the device when the touch fires.
+	touches := func(kinds ...touchKind) func(eng *sim.Engine, d *Device, o *observer) {
+		return func(eng *sim.Engine, d *Device, o *observer) {
+			for i, kind := range kinds {
+				eng.ScheduleAt((instants[2*i]+instants[2*i+1])/2, func() { o.touch("touch", kind) })
+			}
+			solo(eng, d, o)
+		}
+	}
 	return append(scs,
 		inPlaceScenario{name: "external event at chain instants", setup: external(instants)},
-		inPlaceScenario{name: "external event at launch instants", setup: external(launches)})
+		inPlaceScenario{name: "external event at launch instants", setup: external(launches)},
+		inPlaceScenario{name: "accessors on an owned device", touches: true,
+			setup: touches(touchBusy, touchSM, touchEnergy, touchUtil)},
+		inPlaceScenario{name: "a second chain and Resident on an owned device", touches: true,
+			setup: touches(touchNote, touchLaunch, touchNote, touchLaunch)},
+		inPlaceScenario{name: "degradation on an owned device", touches: true,
+			setup: touches(touchDegrade, touchHeal, touchDegrade, touchHeal)},
+		inPlaceScenario{name: "tracer set on an owned device", touches: true,
+			setup: touches(touchTraceOn, touchNote, touchTraceOff, touchNote)})
 }
 
-// TestInPlaceMatchesQueued requires the in-place path to be invisible: every
-// callback's instant and observed device state, and the busy/SM/energy
-// integrals, are bit-identical between Run and a Step loop.
+// TestInPlaceMatchesQueued requires the owner's paths to be invisible: every
+// callback's instant and observed device state, every value read, and the
+// busy/SM/energy integrals are bit-identical between the general path, a
+// Step loop in which chains own the device, and Run, in which they also
+// step in place.
 func TestInPlaceMatchesQueued(t *testing.T) {
 	for _, sc := range inPlaceScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
-			got, want := driveDevice(sc, true), driveDevice(sc, false)
-			if want.panicked != "" {
-				t.Fatalf("scenario panicked: %s", want.panicked)
+			ref, step, run := compareDrives(t, sc)
+			if ref.panicked != "" {
+				t.Fatalf("scenario panicked: %s", ref.panicked)
 			}
-			if got.idleAtPause {
+			if run.idleAtPause {
 				t.Fatalf("no kernel resident at the %v pause; it must fall mid-kernel", sc.pause)
 			}
-			requireSameOutcome(t, got, want)
+			if sc.touches && (step.owned == 0 || run.owned == 0) {
+				t.Fatalf("no touch found a chain owning the device: %d stepped, %d in place", step.owned, run.owned)
+			}
 		})
 	}
 }
 
 // FuzzInPlaceMatchesQueued is TestInPlaceMatchesQueued over workloads the
-// fuzzer builds (see fuzzScenario): Run and a Step loop must observe the
-// same callbacks, device state, integrals and panic, bit for bit.
+// fuzzer builds (see fuzzScenario): the general path, a Step loop and Run
+// must observe the same callbacks, device state, values, integrals and
+// panic, bit for bit.
 func FuzzInPlaceMatchesQueued(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x07, 0, 0, 3, 0, 8, 5, 2, 2, 4, 6, 1, 6, 6, 3, 1})                         // four chains on a partition, noise, a day in
@@ -258,8 +414,7 @@ func FuzzInPlaceMatchesQueued(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 31, 1})                                       // the second kernel of a solo chain has Work 0
 	f.Add([]byte{0xc8, 2, 5, 50, 7, 0, 6, 1, 5, 5, 2, 2, 3, 0, 4, 4, 10, 30, 2, 1, 5, 0, 5, 1, 5, 2, 5, 3, 20})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sc := fuzzScenario(data)
-		requireSameOutcome(t, driveDevice(sc, true), driveDevice(sc, false))
+		compareDrives(t, fuzzScenario(data))
 	})
 }
 
@@ -282,8 +437,9 @@ func pick[T any](b *fuzzBytes, vals ...T) T { return vals[b.next()%len(vals)] }
 // Work, SMFrac and MemFrac range over 0 (a failing range check), tiny values
 // and 1; a full device or a partition; noise; degradation and launch-stall
 // windows; chains started at set times or by the previous chain's
-// completion; external events, half of them at exact kernel instants; an
-// optional RunUntil pause; and all of it optionally a day from time zero.
+// completion; external events, half of them at exact kernel instants, each
+// one touch of the device; an optional RunUntil pause; and all of it
+// optionally a day from time zero.
 func fuzzScenario(data []byte) inPlaceScenario {
 	b := fuzzBytes(data)
 	flags := b.next()
@@ -373,12 +529,16 @@ func fuzzScenario(data []byte) inPlaceScenario {
 		}
 	}
 	instants := kernelInstants(inPlaceScenario{setup: work, partition: sc.partition})
-	var external []sim.Time
+	type touchAt struct {
+		at   sim.Time
+		kind touchKind
+	}
+	var external []touchAt
 	for n := b.next() % 6; len(external) < n; {
 		if v := b.next(); v%2 == 0 && len(instants) > 0 {
-			external = append(external, instants[v/2%len(instants)])
+			external = append(external, touchAt{at: instants[v/2%len(instants)]})
 		} else {
-			external = append(external, base+sim.Time(v)*0.05)
+			external = append(external, touchAt{at: base + sim.Time(v)*0.05})
 		}
 	}
 	if p := b.next(); p%4 == 3 && len(instants) > 0 {
@@ -386,9 +546,14 @@ func fuzzScenario(data []byte) inPlaceScenario {
 	} else if p%4 == 2 {
 		sc.pause = at()
 	}
+	// The kinds come last, so that an input that ends before them makes
+	// every external event a plain note.
+	for i := range external {
+		external[i].kind = touchKind(b.next() % int(numTouches))
+	}
 	sc.setup = func(eng *sim.Engine, d *Device, o *observer) {
-		for _, t := range external {
-			eng.ScheduleAt(t, o.note("external"))
+		for _, e := range external {
+			eng.ScheduleAt(e.at, func() { o.touch("external", e.kind) })
 		}
 		work(eng, d, o)
 	}
@@ -432,23 +597,36 @@ func TestGivenUpLaunchMatchesLaunch(t *testing.T) {
 }
 
 // TestSoloChainSkipsQueueOnlyUnderRun pins that the differential above
-// compares two different paths: under Run a solo chain's callback is reached
-// from the in-place loop, under a Step loop from the completion event.
+// compares different paths. A solo chain's callback is reached from the
+// in-place loop under Run, from its owned kernel's completion event under a
+// Step loop, and from onCompletion under a Step loop with a tracer.
 func TestSoloChainSkipsQueueOnlyUnderRun(t *testing.T) {
-	for _, run := range []bool{true, false} {
+	for _, how := range []drive{general, stepped, inPlace} {
 		eng := sim.NewEngine()
 		eng.Run()
 		d := New(eng, testProfile())
-		inPlace := false
-		d.RunChain(soloSpecs, func() { inPlace = calledFrom("(*chain).runOwned") })
-		if run {
+		if how == general {
+			d.SetTracer(func(KernelEvent) {})
+		}
+		path := "no known"
+		d.RunChain(soloSpecs, func() {
+			switch {
+			case calledFrom("(*Device).onCompletion"):
+				path = general.String()
+			case calledFrom("(*Device).completeOwned"):
+				path = stepped.String()
+			case calledFrom("(*chain).runOwned"):
+				path = inPlace.String()
+			}
+		})
+		if how == inPlace {
 			eng.Run()
 		} else {
 			for eng.Step() {
 			}
 		}
-		if inPlace != run {
-			t.Errorf("run=%v: chain completed in place = %v", run, inPlace)
+		if path != how.String() {
+			t.Errorf("%v: chain completed on the %s path", how, path)
 		}
 	}
 }

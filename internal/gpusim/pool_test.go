@@ -156,13 +156,13 @@ func TestDeviceReusesPooledObjects(t *testing.T) {
 func TestDeviceSteadyStateZeroAllocs(t *testing.T) {
 	eng := sim.NewEngine()
 	d := New(eng, testProfile())
-	chainA := []KernelSpec{
+	chainA := CheckSpecs([]KernelSpec{
 		{Name: "a0", Work: 1.0, SMFrac: 0.8, MemFrac: 0.5},
 		{Name: "a1", Work: 0.5, SMFrac: 0.5, MemFrac: 0.2},
-	}
-	chainB := []KernelSpec{
+	})
+	chainB := CheckSpecs([]KernelSpec{
 		{Name: "b0", Work: 0.7, SMFrac: 0.9, MemFrac: 0.8},
-	}
+	})
 	completions := 0
 	countDone := func(any) { completions++ }
 	cycle := func() {
@@ -187,7 +187,7 @@ func TestRunChainArgEmptyCompletesSynchronously(t *testing.T) {
 	eng := sim.NewEngine()
 	d := New(eng, testProfile())
 	ran := false
-	d.RunChainArg(nil, func(a any) { ran = a.(string) == "tag" }, "tag")
+	d.RunChainArg(CheckedSpecs{}, func(a any) { ran = a.(string) == "tag" }, "tag")
 	if !ran {
 		t.Error("empty RunChainArg did not invoke its callback synchronously")
 	}
@@ -225,15 +225,15 @@ func TestLaunchStallPoolsStallRecords(t *testing.T) {
 func BenchmarkDeviceOverlap(b *testing.B) {
 	eng := sim.NewEngine()
 	dev := New(eng, A100Profile())
-	chainA := []KernelSpec{
+	chainA := CheckSpecs([]KernelSpec{
 		{Name: "a0", Work: 1.0, SMFrac: 0.8, MemFrac: 0.5},
 		{Name: "a1", Work: 0.5, SMFrac: 0.5, MemFrac: 0.2},
 		{Name: "a2", Work: 0.8, SMFrac: 0.9, MemFrac: 0.7},
-	}
-	chainB := []KernelSpec{
+	})
+	chainB := CheckSpecs([]KernelSpec{
 		{Name: "b0", Work: 0.7, SMFrac: 0.9, MemFrac: 0.8},
 		{Name: "b1", Work: 1.2, SMFrac: 0.4, MemFrac: 0.3},
-	}
+	})
 	done := func(any) {}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -105,19 +105,20 @@ func MeasureOn(g Group, dev *gpusim.Device, specs *dnn.Specs) float64 {
 	if remaining == 0 {
 		return 0
 	}
+	done := func(any) {
+		remaining--
+		if remaining == 0 {
+			finish = eng.Now()
+		}
+	}
 	for _, e := range g {
-		var span []gpusim.KernelSpec
+		var span gpusim.CheckedSpecs
 		if specs != nil {
 			span = specs.Span(e.Model, e.Input(), e.OpStart, e.OpEnd)
 		} else {
-			span = dnn.Kernels(dnn.Get(e.Model), e.Input(), dev.Profile(), e.OpStart, e.OpEnd)
+			span = gpusim.CheckSpecs(dnn.Kernels(dnn.Get(e.Model), e.Input(), dev.Profile(), e.OpStart, e.OpEnd))
 		}
-		dev.RunChain(span, func() {
-			remaining--
-			if remaining == 0 {
-				finish = eng.Now()
-			}
-		})
+		dev.RunChainArg(span, done, nil)
 	}
 	eng.Run()
 	return finish - start

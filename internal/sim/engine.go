@@ -146,7 +146,8 @@ type Engine struct {
 	freeLen int
 	alloced int // total Event objects ever allocated (diagnostics)
 	running bool
-	bound   Time // last instant the active Run/RunUntil fires; valid while running
+	bound   Time  // last instant the active Run/RunUntil fires; valid while running
+	popped  int64 // events Step has popped
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -159,6 +160,11 @@ func (e *Engine) Now() Time { return e.now }
 
 // Pending reports the number of scheduled, not-yet-fired events.
 func (e *Engine) Pending() int { return len(e.pending) + e.parked }
+
+// Popped reports how many events Step has popped, through Run and RunUntil
+// or by hand. An event that AdvanceTo let the caller do in place is never
+// popped, so it does not count.
+func (e *Engine) Popped() int64 { return e.popped }
 
 // FreeEvents reports the number of recycled events waiting in the pool.
 func (e *Engine) FreeEvents() int { return e.freeLen }
@@ -377,6 +383,7 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	s := e.remove(0)
+	e.popped++
 	e.now = s.at
 	fn, arg := s.ev.fn, s.ev.arg
 	e.recycle(s.ev)
@@ -386,23 +393,44 @@ func (e *Engine) Step() bool {
 
 // AdvanceTo reports whether an event scheduled now for time t would be the
 // next one the active Run or RunUntil fires, and if so moves the clock to t
-// so the caller can do that event's work in place instead. That holds only
-// when a run loop is active (never under a hand-driven Step loop, whose
-// bound the engine cannot know), t is within the loop's bound, and every
-// pending event is due strictly after t — one due at exactly t was scheduled
-// earlier and fires first. The caller must be an event callback with nothing
-// left to do after the call but that work, since in the queued version
-// nothing would run between scheduling and the next pop. The sequence number
-// the event would have taken is never consumed; later events' numbers shift
-// down together and only their order is ever compared, so the run is the
-// same bit for bit. It panics like ScheduleAt on a time before now or NaN.
+// so the caller can do that event's work in place instead. That holds
+// exactly when t is within Horizon: a run loop is active (never under a
+// hand-driven Step loop, whose bound the engine cannot know), t is within
+// the loop's bound, and every pending event is due strictly after t — one
+// due at exactly t was scheduled earlier and fires first. The caller must
+// be an event callback with nothing left to do after the call but that
+// work, since in the queued version nothing would run between scheduling
+// and the next pop. The sequence number the event would have taken is never
+// consumed; later events' numbers shift down together and only their order
+// is ever compared, so the run is the same bit for bit. It panics like
+// ScheduleAt on a time before now or NaN.
 func (e *Engine) AdvanceTo(t Time) bool {
 	e.checkTime(t)
-	if !e.running || t > e.bound || (len(e.pending) > 0 && e.pending[0].at <= t) {
+	bound, next := e.Horizon()
+	if !(t <= bound && t < next) {
 		return false
 	}
 	e.now = t
 	return true
+}
+
+// Horizon returns what AdvanceTo compares a time t against: it accepts t
+// (not before now) exactly when t <= bound and t < next. bound is the
+// active Run's or RunUntil's last instant, and -Inf when no run loop is
+// active; next is the earliest pending event's time, and +Inf when nothing
+// is pending. Both hold until the caller schedules or cancels an event, so
+// an event callback that then does several events' work in place, each due
+// when the one before it ends, may read them once and set the clock once,
+// with AdvanceTo, before it does anything else with the engine.
+func (e *Engine) Horizon() (bound, next Time) {
+	bound, next = math.Inf(-1), math.Inf(1)
+	if e.running {
+		bound = e.bound
+	}
+	if len(e.pending) > 0 {
+		next = e.pending[0].at
+	}
+	return bound, next
 }
 
 // Run executes events until the queue is empty.

@@ -20,6 +20,7 @@ type orderQueue interface {
 	Step() bool
 	RunUntil(deadline Time)
 	AdvanceTo(t Time) bool
+	Horizon() (bound, next Time)
 }
 
 type realQueue struct{ *Engine }
@@ -36,8 +37,8 @@ func (q realQueue) ScheduleArg(delay Time, fn func(any), arg any) func() bool {
 
 // refQueue is the ordering contract written down: a slice of events, the
 // earliest by (at, seq) fires next, ScheduleBatch is by definition one
-// ScheduleAt per member in index order, and AdvanceTo never fires anything
-// in place: the program then queues the event instead.
+// ScheduleAt per member in index order, and AdvanceTo and Horizon never
+// let anything fire in place: the program then queues the event instead.
 type refQueue struct {
 	now    Time
 	seq    uint64
@@ -105,6 +106,8 @@ func (q *refQueue) Step() bool {
 
 func (q *refQueue) AdvanceTo(Time) bool { return false }
 
+func (q *refQueue) Horizon() (bound, next Time) { return math.Inf(-1), math.Inf(1) }
+
 func (q *refQueue) RunUntil(deadline Time) {
 	for {
 		at, ok := q.NextAt()
@@ -157,6 +160,7 @@ func runOrderProgram(q orderQueue, prog []byte) []obs {
 		log = append(log, obs{kind: 'c', id: i, ok: cancels[i]()})
 	}
 	var fire func(id int)
+	var steps func(id int, gaps []Time)
 	newID := func() int { nextID++; return nextID }
 	scheduleOne := func(arg bool) {
 		id := newID()
@@ -190,6 +194,39 @@ func runOrderProgram(q orderQueue, prog []byte) []obs {
 			} else {
 				cancels = append(cancels, q.ScheduleAt(t, func() { fire(id) }))
 			}
+		case 4:
+			// A chain of steps, each due a program-named gap after the one
+			// before, run from here with no reaction of their own.
+			gaps := make([]Time, 1+next()%4)
+			for i := range gaps {
+				gaps[i] = offsets[next()%8]
+			}
+			steps(newID(), gaps)
+		}
+	}
+	// steps runs a chain as a device's loop does: it reads the horizon
+	// once, takes each step the horizon admits in place on a local clock,
+	// sets the clock once, and queues the first step it does not admit,
+	// whose firing runs the rest the same way. The reference queues every
+	// step.
+	steps = func(id int, gaps []Time) {
+		bound, horizon := q.Horizon()
+		now := q.Now()
+		for len(gaps) > 0 {
+			t := now + gaps[0]
+			if !(t <= bound && t < horizon) {
+				break
+			}
+			now, gaps = t, gaps[1:]
+			log = append(log, obs{kind: 'h', id: id, t: now})
+		}
+		q.AdvanceTo(now)
+		if len(gaps) > 0 {
+			rest := gaps[1:]
+			q.ScheduleAt(now+gaps[0], func() {
+				log = append(log, obs{kind: 'h', id: id, t: q.Now()})
+				steps(id, rest)
+			})
 		}
 	}
 	for len(prog) > 0 {
@@ -230,8 +267,8 @@ func runOrderProgram(q orderQueue, prog []byte) []obs {
 // FuzzEngineOrder checks the engine's one ordering contract — events fire
 // by (time, scheduling order), whichever of ScheduleAt, ScheduleArg and
 // ScheduleBatch queued them and whatever was canceled or recycled in
-// between, and an event AdvanceTo let fire in place is the one that would
-// have fired next — against the reference above.
+// between, and an event AdvanceTo or Horizon let fire in place is the one
+// that would have fired next — against the reference above.
 func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 3, 0, 3, 0, 2, 5, 5, 5})                                  // ties fire in scheduling order
@@ -243,6 +280,9 @@ func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 5, 7, 7, 3, 2, 3, 3, 0, 0, 3, 6, 0, 5, 5})          // in place, then a tie queues
 	f.Add([]byte{0, 3, 7, 3, 3, 6, 0, 3, 5, 3, 2, 5, 5})                      // in place past the RunUntil bound
 	f.Add([]byte{0, 3, 7, 2, 0, 0, 5, 3, 0, 5, 5})                            // a hand Step after RunUntil refuses
+	f.Add([]byte{0, 2, 7, 6, 4, 3, 3, 3, 2, 3})                               // a chain of steps all in place
+	f.Add([]byte{0, 5, 0, 2, 7, 6, 4, 3, 3, 3, 2, 3, 0, 0})                   // a chain stopped by a pending event, twice
+	f.Add([]byte{0, 2, 5, 4, 2, 2, 3, 7, 6, 5})                               // a chain under a hand Step queues
 	// Cancel an entry whose replacement, the heap's last, belongs above it:
 	// the removal must sift up, not only down.
 	f.Add([]byte{0, 0, 0, 5, 0, 2, 0, 6, 0, 6, 0, 6, 0, 6, 0, 6, 0, 6, 0, 3, 4, 5,

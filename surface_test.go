@@ -25,6 +25,7 @@ var surfaceAllowed = map[string]string{
 	"dnn.Cost.Zero":                       "test hook: cost-model tests",
 	"dnn.Model.ValidateTopology":          "test hook: the zoo's topology test",
 	"executor.Executor.CheckpointedBytes": "test hook: checkpoint accounting tests",
+	"gpusim.CheckedSpecs.Specs":           "test hook: spec-table tests read a span's specs",
 	"gpusim.Device.CollectTrace":          "test hook: executor tests measure overlap on the kernel trace",
 	"gpusim.OverlapTime":                  "test hook: executor tests measure overlap on the kernel trace",
 	"gpusim.Device.Degradation":           "test hook: fault-window tests read the device's slowdown",
@@ -38,6 +39,7 @@ var surfaceAllowed = map[string]string{
 	"sched.Query.Remaining":               "test hook: controller tests",
 	"sim.Engine.FreeEvents":               "test hook: event-pool tests",
 	"sim.Engine.Pending":                  "test hook: engine and pool tests",
+	"sim.Engine.Popped":                   "test hook: the give-up test counts queue pops",
 	"sim.Engine.Prewarm":                  "test hook: event-pool tests",
 	"sim.Handle.Active":                   "test hook: engine tests check a handle's lifetime",
 	"sim.Handle.At":                       "test hook: engine tests",
