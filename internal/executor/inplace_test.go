@@ -10,12 +10,13 @@ import (
 	"abacus/internal/sim"
 )
 
-// A chain that finds the device idle owns it, and under Run/RunUntil also
-// steps in place, skipping the event queue; a tracer excludes both, so a
-// Step loop with a tracer takes only the device's general path. Driving the
-// same groups under Run, under a Step loop, and under a Step loop with a
-// tracer therefore checks, with no switch in the code, that the owner's
-// paths change nothing the executor or the device can observe.
+// A chain alone on its device runs in the device's loop, which gives its
+// kernel up to the resident set at once under a Step loop and, under
+// Run/RunUntil, steps in place, skipping the event queue; a tracer excludes
+// the loop, so a Step loop with a tracer takes only the device's general
+// path. Driving the same groups under Run, under a Step loop, and under a
+// Step loop with a tracer therefore checks, with no switch in the code,
+// that the loop changes nothing the executor or the device can observe.
 
 // groupSequence is the base workload: a solo span, a two-span group whose
 // chains overlap, and another solo span, issued back to back.

@@ -157,21 +157,14 @@ type Device struct {
 	memCap  float64
 
 	// running is the resident set in launch order: launchNow appends, and
-	// runOwned and settle append only to an empty set. The fixed order makes
-	// the float accumulation in advance and computeRates deterministic (a
-	// map here would sum in random iteration order, making SMTime/Energy
-	// differ in the low bits across runs), and it is the order in which
-	// kernels finishing at one instant call back.
+	// giveUp appends only to an empty set. The fixed order makes the float
+	// accumulation in advance and computeRates deterministic (a map here
+	// would sum in random iteration order, making SMTime/Energy differ in
+	// the low bits across runs), and it is the order in which kernels
+	// finishing at one instant call back.
 	running    []*kernel
 	lastUpdate sim.Time
 	completion sim.Handle
-
-	// owner, when non-nil, is the chain whose loop stopped at a completion
-	// instant (own): nothing is resident, its kernel's state is in owned,
-	// and its completion is queued. settle makes that kernel resident before
-	// anything else reads or changes the device.
-	owner *chain
-	owned kernel
 
 	// Pools and scratch: recycled across launches so the steady-state
 	// launch/complete cycle allocates nothing.
@@ -319,7 +312,7 @@ func (d *Device) SetLaunchStall(ms float64) {
 func (d *Device) LaunchStall() float64 { return d.launchStall }
 
 // Resident reports the number of kernels currently executing.
-func (d *Device) Resident() int { d.settle(); return len(d.running) }
+func (d *Device) Resident() int { return len(d.running) }
 
 // Launched reports the total number of kernels launched so far.
 func (d *Device) Launched() int64 { return d.launched }
@@ -436,7 +429,13 @@ func fireStalledLaunch(a any) {
 func (d *Device) launchNow(spec KernelSpec, fn func(any), arg any) {
 	d.advance()
 	d.launched++
-	d.resident(spec, d.eng.Now(), d.work(spec.Work), fn, arg)
+	k := d.getKernel()
+	k.spec = spec
+	k.start = d.eng.Now()
+	k.remaining = d.work(spec.Work)
+	k.doneFn = fn
+	k.doneArg = arg
+	d.running = append(d.running, k)
 	d.reschedule()
 }
 
@@ -447,30 +446,6 @@ func (d *Device) work(w float64) float64 {
 		w *= math.Exp(d.noiseSigma * d.noise.NormFloat64())
 	}
 	return w
-}
-
-// resident appends a pooled kernel with the given state to the resident
-// set, which stays in launch order.
-func (d *Device) resident(spec KernelSpec, start sim.Time, remaining float64, fn func(any), arg any) *kernel {
-	k := d.getKernel()
-	k.spec = spec
-	k.start = start
-	k.remaining = remaining
-	k.doneFn = fn
-	k.doneArg = arg
-	d.running = append(d.running, k)
-	return k
-}
-
-// settle makes an owned kernel resident, in the state launchNow would have
-// left it in; own already set lastUpdate to its launch and queued its
-// completion.
-func (d *Device) settle() {
-	if c := d.owner; c != nil {
-		d.owner = nil
-		k := &d.owned
-		d.resident(k.spec, k.start, k.remaining, advanceChainStep, c).rate = k.rate
-	}
 }
 
 // RunChain executes specs as a dependent chain: each kernel launches
@@ -508,13 +483,12 @@ func (d *Device) RunChainArg(specs CheckedSpecs, fn func(any), arg any) {
 
 // advanceChainLaunch fires after a launch gap: it launches the chain's
 // current kernel with the cursor itself as the completion callback. A chain
-// that finds the device idle, with nothing resident or owned, runs in place
-// instead (runOwned).
+// that finds the device idle runs in place instead (runOwned).
 func advanceChainLaunch(a any) {
 	c := a.(*chain)
 	d := c.dev
-	if len(d.running) == 0 && d.owner == nil && d.launchStall == 0 && d.tracer == nil {
-		c.runOwned(false)
+	if len(d.running) == 0 && d.launchStall == 0 && d.tracer == nil {
+		c.runOwned(nil)
 		return
 	}
 	d.launchArg(c.specs[c.i], advanceChainStep, c)
@@ -542,42 +516,52 @@ func (c *chain) finish() {
 }
 
 // runOwned is the queue-free form of the launch → complete → launch-gap
-// cycle, for a chain that owns the device: one entered at a launch instant
-// on an idle device with no stall or tracer in force, or (retired) at the
-// completion instant of its owned kernel c.i, which completeOwned has
-// retired. Its one kernel lives in local variables, and each step does what
-// launchNow, advance and the completion test would do for a lone kernel, in
-// the same float operations and order; soloRate is the rate computeRates
-// gives a lone kernel.
+// cycle, for a chain alone on its device with no stall or tracer in force:
+// one entered at a launch instant on an idle device, with k nil, or at the
+// completion instant of its kernel c.i, which completed alone and which
+// onCompletion has taken off the resident set as k. Its one kernel lives in
+// local variables, and each step does what launchNow, advance and the
+// completion test would do for a lone kernel, in the same float operations
+// and order; soloRate is the rate computeRates gives a lone kernel. The
+// loop fills in k, or a pooled kernel object when k is nil, only when it
+// gives its kernel up, and returns k to the pool when it stops without
+// one.
 //
 // The loop reads the engine's horizon once and runs on a local clock,
 // taking each next event in place while the horizon admits it, as
 // sim.Engine.AdvanceTo would. It sets the engine's clock once, before it
 // calls back, schedules or returns. It stops at the chain's end, or where
 // an event does not fit: a launch gap is then queued as an event, and a
-// completion makes the chain the device's owner, with that completion
-// queued (own). A kernel that reaches its completion instant short of its
-// work becomes resident and is re-armed, as onCompletion does. lastUpdate
-// is stored only when the loop stops with a kernel, since with nothing
-// resident advance only overwrites it. runOwned runs in an event callback
-// and does nothing after its steps but their work, which is what AdvanceTo
-// requires.
-func (c *chain) runOwned(retired bool) {
+// kernel whose completion does not fit becomes an ordinary resident kernel
+// with that completion queued (giveUp), as does one that reaches its
+// completion instant short of its work, which onCompletion would re-arm.
+// lastUpdate is stored only when the loop stops with a kernel, since with
+// nothing resident advance only overwrites it. runOwned runs in an event
+// callback and does nothing after its steps but their work, which is what
+// AdvanceTo requires.
+func (c *chain) runOwned(k *kernel) {
 	d, eng := c.dev, c.dev.eng
 	bound, next := eng.Horizon()
 	now := eng.Now()
+	retired := k != nil
 	for {
 		if retired {
 			if c.i++; c.i == len(c.specs) {
 				eng.AdvanceTo(now)
+				if k != nil {
+					d.putKernel(k)
+				}
 				c.finish()
 				return
 			}
 			// The launch gap's event would see this device state, and runs
 			// in place only if advanceChainLaunch would: a launch stall set
-			// while the chain owned the device stops it.
+			// while the kernel ran stops it.
 			if t := now + d.profile.LaunchGap; !(t <= bound && t < next) || d.launchStall != 0 {
 				eng.AdvanceTo(now)
+				if k != nil {
+					d.putKernel(k)
+				}
 				eng.ScheduleArg(d.profile.LaunchGap, advanceChainLaunch, c)
 				return
 			}
@@ -591,7 +575,7 @@ func (c *chain) runOwned(retired bool) {
 		start, eta := now, remaining/rate
 		if t := now + eta; !(t <= bound && t < next) {
 			eng.AdvanceTo(now)
-			d.own(c, spec, start, remaining, rate, eta)
+			d.giveUp(k, c, spec, start, remaining, rate)
 			return
 		}
 		now += eta
@@ -604,59 +588,35 @@ func (c *chain) runOwned(retired bool) {
 		}
 		if !done(remaining, rate, now) {
 			eng.AdvanceTo(now)
-			d.rearm(c, spec, start, remaining)
+			d.giveUp(k, c, spec, start, remaining, rate)
 			return
 		}
 	}
 }
 
-// own makes c the owner of the idle device: its kernel, launched at start,
-// which is now, keeps the state launchNow would give it off the resident
-// set, and its completion is queued eta from now, as reschedule would.
-func (d *Device) own(c *chain, spec KernelSpec, start sim.Time, remaining, rate float64, eta sim.Time) {
-	d.lastUpdate = start
-	d.owner = c
-	d.owned = kernel{spec: spec, start: start, remaining: remaining, rate: rate}
-	d.completion = d.eng.ScheduleArg(eta, fireCompletion, d)
-}
-
-// rearm makes a chain kernel that reached its completion instant short of
-// its work resident, and queues its completion again, as onCompletion
-// re-arms a kernel it does not retire.
-func (d *Device) rearm(c *chain, spec KernelSpec, start sim.Time, remaining float64) {
+// giveUp makes chain c's kernel, launched at start, resident on the idle
+// device with remaining work from now on, in k or, when k is nil, a pooled
+// kernel object, and queues its completion, as launchNow or onCompletion's
+// re-arm would: reschedule would give the lone kernel soloRate's rate,
+// which rate is, and queue its completion remaining/rate from now.
+func (d *Device) giveUp(k *kernel, c *chain, spec KernelSpec, start sim.Time, remaining, rate float64) {
+	if k == nil {
+		k = d.getKernel()
+		k.doneFn, k.doneArg = advanceChainStep, c
+	}
+	k.spec = spec
+	k.start = start
+	k.remaining = remaining
+	k.rate = rate
+	d.running = append(d.running, k)
 	d.lastUpdate = d.eng.Now()
-	d.resident(spec, start, remaining, advanceChainStep, c)
-	d.reschedule()
-}
-
-// completeOwned is onCompletion for the owner's kernel, with nothing else
-// resident: it applies advance's updates in advance's float operations and
-// order, runs the completion test, and either re-arms the kernel or retires
-// it and continues the chain in place.
-func (d *Device) completeOwned() {
-	c, k := d.owner, &d.owned
-	d.owner = nil
-	d.completion = sim.Handle{}
-	now := d.eng.Now()
-	if dt := now - d.lastUpdate; dt > 0 {
-		// advance's clamp at 0 is left out, as in runOwned.
-		d.busyTime += dt
-		k.remaining -= k.rate * dt
-		d.smTime += k.rate * k.spec.SMFrac * dt
-	}
-	if !done(k.remaining, k.rate, now) {
-		d.rearm(c, k.spec, k.start, k.remaining)
-		return
-	}
-	c.runOwned(true)
+	d.completion = d.eng.ScheduleArg(remaining/rate, fireCompletion, d)
 }
 
 // advance integrates kernel progress from lastUpdate to now at the current
-// (piecewise-constant) rates, after settling an owned kernel. The resident
-// slice is in launch order, so the float accumulation into smTime is
-// order-deterministic.
+// (piecewise-constant) rates. The resident slice is in launch order, so the
+// float accumulation into smTime is order-deterministic.
 func (d *Device) advance() {
-	d.settle()
 	now := d.eng.Now()
 	dt := now - d.lastUpdate
 	if dt <= 0 {
@@ -689,15 +649,8 @@ func done(remaining, rate float64, now sim.Time) bool {
 	return remaining <= completionEps || now+remaining/rate == now
 }
 
-// fireCompletion dispatches the pooled completion event to its device.
-func fireCompletion(a any) {
-	d := a.(*Device)
-	if d.owner != nil {
-		d.completeOwned()
-		return
-	}
-	d.onCompletion()
-}
+// fireCompletion runs the pooled completion event on its device.
+func fireCompletion(a any) { a.(*Device).onCompletion() }
 
 // reschedule recomputes rates for the resident set and re-arms the next
 // completion event.
@@ -731,8 +684,37 @@ func (d *Device) rerate() sim.Time {
 // is consistent so they may immediately launch new kernels; retired kernel
 // objects return to the pool one by one as their callbacks run, so a
 // callback that launches immediately reuses a just-retired kernel.
+//
+// A chain kernel that completes alone with no tracer set leaves the
+// resident set the same way, but its chain continues in place (runOwned)
+// instead of through advanceChainStep, whose work the loop does in the same
+// order, and the loop takes over its kernel object rather than the pool.
+// That is onCompletion's last action, as the loop requires. The branch
+// applies advance's updates itself, in advance's float operations and
+// order, because calling advance there measurably slowed the elastic-day
+// benchmark (EXPERIMENTS.md); a kernel short of its work goes on to the
+// general path, for which advance then has nothing left to integrate.
 func (d *Device) onCompletion() {
 	d.completion = sim.Handle{}
+	if len(d.running) == 1 && d.tracer == nil {
+		// Only advanceChainStep's kernels carry a *chain as doneArg.
+		k := d.running[0]
+		if c, ok := k.doneArg.(*chain); ok {
+			now := d.eng.Now()
+			if dt := now - d.lastUpdate; dt > 0 {
+				// advance's clamp at 0 is left out, as in runOwned.
+				d.busyTime += dt
+				k.remaining -= k.rate * dt
+				d.smTime += k.rate * k.spec.SMFrac * dt
+			}
+			d.lastUpdate = now
+			if done(k.remaining, k.rate, now) {
+				d.running = d.running[:0]
+				c.runOwned(k)
+				return
+			}
+		}
+	}
 	d.advance()
 	now := d.eng.Now()
 	resident := d.running

@@ -231,8 +231,8 @@ func TestInvalidSpecPanics(t *testing.T) {
 // TestSimultaneousCompletionsCallBackInLaunchOrder: kernels that finish at
 // one instant call back in launch order, which the resident set keeps by
 // construction. Names run against launch order, so that an order by name
-// fails. In the second case a chain's kernel is owned when a plain launch
-// joins it at its launch instant, so the owned kernel is settled first.
+// fails. In the second case a chain's loop gives up its kernel at its
+// launch instant, because a plain launch is due then, which then joins it.
 func TestSimultaneousCompletionsCallBackInLaunchOrder(t *testing.T) {
 	for _, run := range []bool{true, false} {
 		eng := sim.NewEngine()

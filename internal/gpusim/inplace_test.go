@@ -9,14 +9,14 @@ import (
 	"abacus/internal/sim"
 )
 
-// A chain that finds the device idle owns it: it steps in place while
-// sim.Engine.AdvanceTo would let it, which only a Run/RunUntil loop does,
-// and otherwise keeps its kernel off the resident set until its completion
-// fires or something else touches the device. A tracer excludes both, so a
-// Step loop with a tracer installed runs every kernel through launchNow and
-// onCompletion. Driving one workload those ways is therefore a
-// differential test of the owner's paths against the general one, with no
-// switch in the code.
+// A chain alone on its device steps in place while sim.Engine.AdvanceTo
+// would let it, which only a Run/RunUntil loop does. Where it cannot, its
+// kernel becomes an ordinary resident kernel, and when a chain kernel
+// completes alone onCompletion hands the chain back to the loop. A tracer
+// excludes the loop, so a Step loop with a tracer installed runs every
+// kernel through launchNow and onCompletion's general path. Driving one
+// workload those ways is therefore a differential test of the loop against
+// the general path, with no switch in the code.
 
 // drive is how a differential run steps the engine.
 type drive int
@@ -24,13 +24,14 @@ type drive int
 const (
 	// general is the reference: a Step loop with a tracer installed, so
 	// every launch goes through launchNow and every completion through
-	// onCompletion.
+	// onCompletion's general path.
 	general drive = iota
-	// stepped is a Step loop with no tracer: a chain owns an idle device
-	// and completes its kernels through completeOwned, but never takes an
-	// event in place.
+	// stepped is a Step loop with no tracer: a chain on an idle device
+	// enters the loop, which gives up at once, and a chain kernel that
+	// completes alone re-enters it from onCompletion, but no event is ever
+	// taken in place.
 	stepped
-	// inPlace is eng.Run, where the owner also steps in place.
+	// inPlace is eng.Run, where the loop also steps in place.
 	inPlace
 )
 
@@ -56,7 +57,7 @@ type deviceOutcome struct {
 	panicked     string
 
 	idleAtPause bool  // the Run side found nothing resident at its pause
-	owned       int   // touches that found a chain owning the device
+	lone        int   // touches that found a lone chain kernel resident, off the general side
 	traced      int64 // completions the tracer saw, on the general side
 }
 
@@ -67,7 +68,7 @@ type observer struct {
 	d        *Device
 	how      drive
 	marks    []mark
-	owned    int
+	lone     int
 	tracing  bool // a workload's tracer is on: trace records marks
 	traced   int64
 	instants []sim.Time // every traced kernel's launch and completion
@@ -101,8 +102,8 @@ var touchSpec = KernelSpec{Name: "t", Work: 0.3, SMFrac: 0.5, MemFrac: 0.4}
 // touch does one touch now and records it as a mark named what, with the
 // value it read, if any.
 func (o *observer) touch(what string, kind touchKind) {
-	if o.d.owner != nil {
-		o.owned++
+	if o.how != general && loneChainKernel(o.d) {
+		o.lone++
 	}
 	m := mark{what: what, at: o.eng.Now()}
 	switch kind {
@@ -123,7 +124,6 @@ func (o *observer) touch(what string, kind touchKind) {
 	case touchHeal:
 		o.d.SetDegradation(1, 1)
 	}
-	// Only a note reads Resident, which settles an owned kernel itself.
 	m.launched = o.d.Launched()
 	if kind == touchNote {
 		m.resident = o.d.Resident()
@@ -158,7 +158,7 @@ type inPlaceScenario struct {
 	setup     func(eng *sim.Engine, d *Device, o *observer)
 	partition [2]float64
 	pause     sim.Time
-	touches   bool // some touch must find a chain owning the device
+	touches   bool // some touch must find a lone chain kernel resident
 }
 
 // device returns the scenario's fresh device on eng.
@@ -184,7 +184,7 @@ func driveDevice(sc inPlaceScenario, how drive) (out deviceOutcome) {
 		if r := recover(); r != nil {
 			out.panicked = fmt.Sprint(r)
 		}
-		out.marks, out.owned, out.traced = o.marks, o.owned, o.traced
+		out.marks, out.lone, out.traced = o.marks, o.lone, o.traced
 		out.busy, out.smTime = d.BusyTime(), d.SMTime()
 		out.energy = d.Energy(A100Energy())
 		out.launched = d.Launched()
@@ -208,16 +208,22 @@ func driveDevice(sc inPlaceScenario, how drive) (out deviceOutcome) {
 }
 
 // requireGeneral fails unless the reference ran every kernel through
-// onCompletion, whose tracer call is the only one, and never found a chain
-// owning the device.
+// onCompletion's general path, whose tracer call is the only one.
 func requireGeneral(t *testing.T, ref deviceOutcome) {
 	t.Helper()
 	if ref.panicked == "" && ref.traced != ref.launched {
 		t.Errorf("general side: %d of %d kernels completed through onCompletion", ref.traced, ref.launched)
 	}
-	if ref.owned != 0 {
-		t.Errorf("general side: %d touches found a chain owning the device", ref.owned)
+}
+
+// loneChainKernel reports whether a chain's kernel is the only one resident
+// on d, as the loop leaves a kernel it gives up.
+func loneChainKernel(d *Device) bool {
+	if len(d.running) != 1 {
+		return false
 	}
+	_, ok := d.running[0].doneArg.(*chain)
+	return ok
 }
 
 // requireSameOutcome fails unless got, driven as how, observed exactly
@@ -359,7 +365,7 @@ func inPlaceScenarios() []inPlaceScenario {
 	}
 	// Touches halfway through the solo chain's kernels, the i-th in kernel
 	// i: the touch is pending when that kernel launches, so its loop gives
-	// up and the chain owns the device when the touch fires.
+	// up and the kernel is resident alone when the touch fires.
 	touches := func(kinds ...touchKind) func(eng *sim.Engine, d *Device, o *observer) {
 		return func(eng *sim.Engine, d *Device, o *observer) {
 			for i, kind := range kinds {
@@ -371,21 +377,21 @@ func inPlaceScenarios() []inPlaceScenario {
 	return append(scs,
 		inPlaceScenario{name: "external event at chain instants", setup: external(instants)},
 		inPlaceScenario{name: "external event at launch instants", setup: external(launches)},
-		inPlaceScenario{name: "accessors on an owned device", touches: true,
+		inPlaceScenario{name: "accessors on a given-up kernel", touches: true,
 			setup: touches(touchBusy, touchSM, touchEnergy, touchUtil)},
-		inPlaceScenario{name: "a second chain and Resident on an owned device", touches: true,
+		inPlaceScenario{name: "a second chain and Resident on a given-up kernel", touches: true,
 			setup: touches(touchNote, touchLaunch, touchNote, touchLaunch)},
-		inPlaceScenario{name: "degradation on an owned device", touches: true,
+		inPlaceScenario{name: "degradation on a given-up kernel", touches: true,
 			setup: touches(touchDegrade, touchHeal, touchDegrade, touchHeal)},
-		inPlaceScenario{name: "tracer set on an owned device", touches: true,
+		inPlaceScenario{name: "tracer set on a given-up kernel", touches: true,
 			setup: touches(touchTraceOn, touchNote, touchTraceOff, touchNote)})
 }
 
-// TestInPlaceMatchesQueued requires the owner's paths to be invisible: every
+// TestInPlaceMatchesQueued requires the loop to be invisible: every
 // callback's instant and observed device state, every value read, and the
 // busy/SM/energy integrals are bit-identical between the general path, a
-// Step loop in which chains own the device, and Run, in which they also
-// step in place.
+// Step loop in which chains enter the loop and give up at once, and Run, in
+// which they also step in place.
 func TestInPlaceMatchesQueued(t *testing.T) {
 	for _, sc := range inPlaceScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
@@ -396,8 +402,8 @@ func TestInPlaceMatchesQueued(t *testing.T) {
 			if run.idleAtPause {
 				t.Fatalf("no kernel resident at the %v pause; it must fall mid-kernel", sc.pause)
 			}
-			if sc.touches && (step.owned == 0 || run.owned == 0) {
-				t.Fatalf("no touch found a chain owning the device: %d stepped, %d in place", step.owned, run.owned)
+			if sc.touches && (step.lone == 0 || run.lone == 0) {
+				t.Fatalf("no touch found a lone chain kernel resident: %d stepped, %d in place", step.lone, run.lone)
 			}
 		})
 	}
@@ -597,9 +603,10 @@ func TestGivenUpLaunchMatchesLaunch(t *testing.T) {
 }
 
 // TestSoloChainSkipsQueueOnlyUnderRun pins that the differential above
-// compares different paths. A solo chain's callback is reached from the
-// in-place loop under Run, from its owned kernel's completion event under a
-// Step loop, and from onCompletion under a Step loop with a tracer.
+// compares different paths. A solo chain's callback is reached from
+// onCompletion's general path under a Step loop with a tracer, from the
+// loop that onCompletion re-enters under a plain Step loop, and from the
+// loop alone, with no completion event popped, under Run.
 func TestSoloChainSkipsQueueOnlyUnderRun(t *testing.T) {
 	for _, how := range []drive{general, stepped, inPlace} {
 		eng := sim.NewEngine()
@@ -610,12 +617,13 @@ func TestSoloChainSkipsQueueOnlyUnderRun(t *testing.T) {
 		}
 		path := "no known"
 		d.RunChain(soloSpecs, func() {
+			completion, loop := calledFrom("(*Device).onCompletion"), calledFrom("(*chain).runOwned")
 			switch {
-			case calledFrom("(*Device).onCompletion"):
+			case completion && !loop:
 				path = general.String()
-			case calledFrom("(*Device).completeOwned"):
+			case completion && loop:
 				path = stepped.String()
-			case calledFrom("(*chain).runOwned"):
+			case loop:
 				path = inPlace.String()
 			}
 		})
@@ -628,6 +636,42 @@ func TestSoloChainSkipsQueueOnlyUnderRun(t *testing.T) {
 		if path != how.String() {
 			t.Errorf("%v: chain completed on the %s path", how, path)
 		}
+	}
+}
+
+// TestLoneKernelAfterContentionContinuesInPlace runs two chains on one
+// device under Run: A's one kernel and the first of B's three overlap, and
+// when A's completes, B's kernel runs on alone. Its completion continues B
+// in place, launch gaps included, so the engine pops only the two chains'
+// first launch gaps and the two contended completions. Taking B's first
+// launch gap after contention as an event would pop a fifth.
+func TestLoneKernelAfterContentionContinuesInPlace(t *testing.T) {
+	k := func(work float64) KernelSpec { return KernelSpec{Name: "k", Work: work, SMFrac: 0.8, MemFrac: 0.5} }
+	finishes := func(how drive) (a, b sim.Time, popped int64) {
+		eng := sim.NewEngine()
+		d := New(eng, testProfile())
+		if how == general {
+			d.SetTracer(func(KernelEvent) {})
+		}
+		d.RunChain([]KernelSpec{k(0.5)}, func() { a = eng.Now() })
+		d.RunChain([]KernelSpec{k(1), k(1), k(1)}, func() { b = eng.Now() })
+		if how == inPlace {
+			eng.Run()
+		} else {
+			for eng.Step() {
+			}
+		}
+		return a, b, eng.Popped()
+	}
+	a, b, popped := finishes(inPlace)
+	if wantA, wantB, _ := finishes(general); a != wantA || b != wantB {
+		t.Errorf("chains finish at %v and %v, general path %v and %v", a, b, wantA, wantB)
+	}
+	if !almostEqual(a, 0.81, 1e-12) || !almostEqual(b, 3.33, 1e-12) {
+		t.Errorf("chains finish at %v and %v, want 0.81 and 3.33", a, b)
+	}
+	if popped != 4 {
+		t.Errorf("engine popped %d events, want 4", popped)
 	}
 }
 

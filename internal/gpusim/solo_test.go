@@ -17,7 +17,7 @@ func res152Span() gpusim.CheckedSpecs {
 }
 
 // soloCycle returns a function that runs span alone on an idle device under
-// eng.Run, where the chain owns the device and steps in place.
+// eng.Run, where the chain is alone on the device and steps in place.
 func soloCycle(span gpusim.CheckedSpecs) func() {
 	eng := sim.NewEngine()
 	dev := gpusim.New(eng, gpusim.A100Profile())
@@ -81,7 +81,7 @@ func TestSharedEngineGiveUpPops(t *testing.T) {
 }
 
 // BenchmarkSoloChain runs the Res152 batch-32 span alone on an idle device
-// under Run: the in-place loop of a chain that owns the device, per kernel.
+// under Run: the in-place loop of a chain alone on its device, per kernel.
 func BenchmarkSoloChain(b *testing.B) {
 	span := res152Span()
 	benchCycle(b, soloCycle(span), len(span.Specs()))

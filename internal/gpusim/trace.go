@@ -17,8 +17,8 @@ type KernelEvent struct {
 type Tracer func(KernelEvent)
 
 // SetTracer installs (or, with nil, removes) a tracer. The tracer fires at
-// each kernel's completion with its full lifecycle, an owned kernel's too.
-func (d *Device) SetTracer(t Tracer) { d.settle(); d.tracer = t }
+// each kernel's completion with its full lifecycle.
+func (d *Device) SetTracer(t Tracer) { d.tracer = t }
 
 // CollectTrace is a convenience tracer target: events append to the
 // returned slice's backing store until the device is garbage collected.

@@ -35,6 +35,21 @@ var ErrStopped = errors.New("realtime: bridge stopped")
 // on wake, so the cap only costs a spurious wakeup per hour.
 const maxWait = time.Hour
 
+// timerWait is how long the loop sleeps for an event gap virtual
+// milliseconds ahead at speedup, clamped to [0, maxWait]. It rounds up: a
+// gap shorter than a nanosecond of wall time would truncate to no wait, and
+// a loop whose wall clock moves only when it sleeps would then spin.
+func timerWait(gap, speedup float64) time.Duration {
+	ns := math.Ceil(gap / speedup * float64(time.Millisecond))
+	switch {
+	case !(ns > 0):
+		return 0
+	case ns >= float64(maxWait):
+		return maxWait
+	}
+	return time.Duration(ns)
+}
+
 // Msg is one unit of work posted to a bridge's loop. A message Post accepts
 // is answered exactly once: Run on the loop goroutine, after every virtual
 // event due by the current wall instant has fired, or Stopped (on the loop
@@ -228,14 +243,7 @@ func (b *Bridge) loop() {
 		var timerC <-chan time.Time
 		if !b.unpaced {
 			if next, ok := b.eng.NextAt(); ok {
-				wait := time.Duration((next - b.eng.Now()) / b.speedup * float64(time.Millisecond))
-				if wait < 0 {
-					wait = 0
-				}
-				if wait > maxWait {
-					wait = maxWait
-				}
-				timer = time.NewTimer(wait)
+				timer = time.NewTimer(timerWait(next-b.eng.Now(), b.speedup))
 				timerC = timer.C
 			}
 		}

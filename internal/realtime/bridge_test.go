@@ -1,6 +1,7 @@
 package realtime
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -191,4 +192,26 @@ func TestNewValidation(t *testing.T) {
 		}()
 		New(nil, 1)
 	}()
+}
+
+// TestTimerWait pins the loop's sleep for an event gap: rounded up to a
+// whole nanosecond, so a sub-nanosecond gap still sleeps, and clamped to
+// [0, maxWait].
+func TestTimerWait(t *testing.T) {
+	for _, c := range []struct {
+		gap, speedup float64
+		want         time.Duration
+	}{
+		{1e-9, 1, time.Nanosecond},
+		{0, 1, 0},
+		{-3, 1, 0},
+		{1.5, 1, 1500 * time.Microsecond},
+		{1, 1e6, time.Nanosecond},
+		{1e300, 1, maxWait},
+		{math.Inf(1), 1, maxWait},
+	} {
+		if got := timerWait(c.gap, c.speedup); got != c.want {
+			t.Errorf("timerWait(%v, %v) = %v, want %v", c.gap, c.speedup, got, c.want)
+		}
+	}
 }

@@ -35,10 +35,11 @@ func (q realQueue) ScheduleArg(delay Time, fn func(any), arg any) func() bool {
 	return func() bool { return q.Cancel(h) }
 }
 
-// refQueue is the ordering contract written down: a slice of events, the
-// earliest by (at, seq) fires next, ScheduleBatch is by definition one
-// ScheduleAt per member in index order, and AdvanceTo and Horizon never
-// let anything fire in place: the program then queues the event instead.
+// refQueue is the ordering contract written down: a slice of events kept
+// sorted by (at, seq), whose first fires next, ScheduleBatch is by
+// definition one ScheduleAt per member in index order, and AdvanceTo and
+// Horizon never let anything fire in place: the program then queues the
+// event instead.
 type refQueue struct {
 	now    Time
 	seq    uint64
@@ -54,24 +55,25 @@ type refEvent struct {
 func (q *refQueue) Now() Time    { return q.now }
 func (q *refQueue) Pending() int { return len(q.events) }
 
-func (q *refQueue) sort() {
-	slices.SortFunc(q.events, func(a, b refEvent) int {
-		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq))
-	})
+// compareRef is the order events fire in: by time, then by scheduling
+// order.
+func compareRef(a, b refEvent) int {
+	return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq))
 }
 
 func (q *refQueue) NextAt() (Time, bool) {
 	if len(q.events) == 0 {
 		return 0, false
 	}
-	q.sort()
 	return q.events[0].at, true
 }
 
 func (q *refQueue) ScheduleAt(t Time, fn func()) func() bool {
 	seq := q.seq
 	q.seq++
-	q.events = append(q.events, refEvent{t, seq, fn})
+	ev := refEvent{t, seq, fn}
+	i, _ := slices.BinarySearchFunc(q.events, ev, compareRef)
+	q.events = slices.Insert(q.events, i, ev)
 	return func() bool {
 		i := slices.IndexFunc(q.events, func(e refEvent) bool { return e.seq == seq })
 		if i < 0 {
@@ -96,7 +98,6 @@ func (q *refQueue) Step() bool {
 	if len(q.events) == 0 {
 		return false
 	}
-	q.sort()
 	ev := q.events[0]
 	q.events = q.events[1:]
 	q.now = ev.at
