@@ -18,6 +18,7 @@ import (
 	"abacus/internal/gpusim"
 	"abacus/internal/predictor"
 	"abacus/internal/serving"
+	"abacus/internal/sim"
 	"abacus/internal/trace"
 )
 
@@ -52,7 +53,7 @@ func estimateGroupCapacity(models []dnn.ModelID, p gpusim.Profile, seed int64) f
 		Policy:   serving.PolicyAbacus,
 		Models:   models,
 		Arrivals: gen.Poisson(300, 3000),
-		Profile:  p,
+		Devices:  []*gpusim.Device{gpusim.New(sim.NewEngine(), p)},
 	})
 	return res.Goodput()
 }

@@ -26,7 +26,8 @@ type Config struct {
 	Models []dnn.ModelID
 	// QoSFactor scales QoS targets over max-input solo latency (default 2).
 	QoSFactor float64
-	// Model is the duration model; nil selects the exact oracle.
+	// Model is the duration model; nil selects the device's exact oracle
+	// (predictor.ForDevice).
 	Model predictor.LatencyModel
 	// Profile is the device model; zero value = A100.
 	Profile gpusim.Profile
@@ -66,19 +67,15 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.QoSFactor == 0 {
 		cfg.QoSFactor = 2
 	}
-	profile := cfg.Profile
-	if profile.NumSMs == 0 {
-		profile = gpusim.A100Profile()
-	}
 	dev := cfg.Device
-	var eng *sim.Engine
 	if dev == nil {
-		eng = sim.NewEngine()
-		dev = gpusim.New(eng, profile)
-	} else {
-		eng = dev.Engine()
-		profile = dev.Profile()
+		profile := cfg.Profile
+		if profile.NumSMs == 0 {
+			profile = gpusim.A100Profile()
+		}
+		dev = gpusim.New(sim.NewEngine(), profile)
 	}
+	eng, profile := dev.Engine(), dev.Profile()
 	specs := cfg.Specs
 	if specs == nil {
 		specs = dnn.NewSpecs(profile)
@@ -87,7 +84,7 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	model := cfg.Model
 	if model == nil {
-		model = predictor.Oracle{Profile: profile, Specs: specs}
+		model = predictor.ForDevice(dev, specs)
 	}
 	sink := cfg.OnResult
 	if sink == nil {

@@ -5,6 +5,7 @@ import (
 
 	"abacus/internal/dnn"
 	"abacus/internal/gpusim"
+	"abacus/internal/predictor"
 	"abacus/internal/sched"
 	"abacus/internal/sim"
 )
@@ -83,6 +84,19 @@ func TestRuntimeOnPartitionedDevice(t *testing.T) {
 	rt.Engine().Run()
 	if done != 1 {
 		t.Errorf("done = %d", done)
+	}
+
+	// A deadline midway between the query's latency on the full device and
+	// on the half partition: an oracle of the full device issues the query
+	// and misses the deadline, the partition's own oracle drops it.
+	in := dnn.Input{Batch: 32}
+	g := predictor.Group{{Model: dnn.ResNet50, OpEnd: dnn.Get(dnn.ResNet50).NumOps(), Batch: in.Batch}}
+	fullMS, partMS := predictor.ForDevice(full, nil).Predict(g), predictor.ForDevice(part, nil).Predict(g)
+	slo := dnn.TransferTime(dnn.Get(dnn.ResNet50), in, part.Profile()) + (fullMS+partMS)/2
+	q := rt.SubmitSLO(0, in, rt.Engine().Now(), slo)
+	rt.Engine().Run()
+	if !q.Dropped {
+		t.Errorf("query issued on the partition (latency %.2f ms, %d segments, deadline %.2f ms): predicted for the full device", q.Latency(), q.Segments(), slo)
 	}
 }
 

@@ -42,7 +42,6 @@ func Ablations(opts Options) []Table {
 	costlyPred := baseCfg
 	costlyPred.PredictCost = 0.5
 
-	oracle := predictor.Oracle{Profile: profile()}
 	trained := unifiedPredictor(opts, models, 2)
 
 	variants := []variant{
@@ -52,7 +51,7 @@ func Ablations(opts Options) []Table {
 		{"1-way search", oneWay, trained, executor.SyncCostMS},
 		{"8-way search", eightWay, trained, executor.SyncCostMS},
 		{"5x prediction cost", costlyPred, trained, executor.SyncCostMS},
-		{"oracle predictor", baseCfg, oracle, executor.SyncCostMS},
+		{"oracle predictor", baseCfg, nil, executor.SyncCostMS},
 		{"5x sync cost", baseCfg, trained, 5 * executor.SyncCostMS},
 	}
 

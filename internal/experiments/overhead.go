@@ -86,7 +86,7 @@ func checkpointPeak(opts Options) float64 {
 	exec := executor.New(dev, executor.SyncCostMS, nil)
 	models := []dnn.ModelID{dnn.ResNet152, dnn.InceptionV3}
 	services := sched.Services(models, 2, p)
-	a := sched.NewAbacus(eng, exec, predictor.Oracle{Profile: p, Specs: exec.Specs()}, sched.DefaultConfig(), func(*sched.Query) {})
+	a := sched.NewAbacus(eng, exec, predictor.ForDevice(dev, exec.Specs()), sched.DefaultConfig(), func(*sched.Query) {})
 	arrivals := trace.NewGenerator(models, opts.Seed).Poisson(60, 3000)
 	eng.ScheduleBatch(trace.Times(arrivals), func(i int) {
 		arr := arrivals[i]

@@ -107,7 +107,7 @@ func Segments(opts Options) []Table {
 		exec := executor.New(dev, executor.SyncCostMS, nil)
 		services := sched.Services(models, 2, p)
 		var segs []float64
-		ctrl := sched.NewAbacus(eng, exec, predictor.Oracle{Profile: p, Specs: exec.Specs()}, sched.DefaultConfig(), func(q *sched.Query) {
+		ctrl := sched.NewAbacus(eng, exec, predictor.ForDevice(dev, exec.Specs()), sched.DefaultConfig(), func(q *sched.Query) {
 			if !q.Dropped {
 				segs = append(segs, float64(q.Segments()))
 			}

@@ -13,17 +13,21 @@ import (
 
 // stackParts are the constructors NewStack composes. Outside this package
 // only the callers below may use them; a new one would be a second node
-// stack that drifts from this one.
+// stack that drifts from this one. predictor.Oracle is watched too: a
+// device's default model is predictor.ForDevice's, and a hand-built oracle
+// is one that can miss its device's capacity or its host's spec table.
 var stackParts = map[string]string{
 	"abacus/internal/core":      "New",
 	"abacus/internal/admit":     "New",
-	"abacus/internal/predictor": "NewMemoized NewPerturbed",
+	"abacus/internal/predictor": "NewMemoized NewPerturbed Oracle",
 	"abacus/internal/calib":     "NewCalibrated",
 }
 
 // stackPartsAllowed maps "file: pkg.Func" (file relative to the module
 // root) to why that file builds the part itself.
-var stackPartsAllowed = map[string]string{}
+var stackPartsAllowed = map[string]string{
+	"abacus.go: predictor.Oracle": "the library facade's Oracle() is the exact model of a full A100, with no device to read",
+}
 
 // TestOneNodeStack scans every non-test Go file of the root module (bench/
 // is its own module) for references to a stack part outside internal/fleet.
@@ -72,7 +76,7 @@ func TestOneNodeStack(t *testing.T) {
 			key := rel + ": " + pkg.Name + "." + sel.Sel.Name
 			used[key] = true
 			if _, ok := stackPartsAllowed[key]; !ok {
-				t.Errorf("%s outside internal/fleet: build the node with fleet.NewStack", key)
+				t.Errorf("%s outside internal/fleet: build the node with fleet.NewStack, a default oracle with predictor.ForDevice", key)
 			}
 			return true
 		})

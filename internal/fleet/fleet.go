@@ -28,7 +28,8 @@ type Config struct {
 	Models []dnn.ModelID
 	// QoSFactor scales QoS targets over max-input solo latency (default 2).
 	QoSFactor float64
-	// Model is the base duration model; nil selects the exact oracle.
+	// Model is the base duration model; nil selects the node device's exact
+	// oracle (predictor.ForDevice).
 	Model predictor.LatencyModel
 	// QueueCap bounds admitted-but-unfinished queries per service.
 	QueueCap int
@@ -77,11 +78,11 @@ func NewSpecs() *dnn.Specs { return dnn.NewSpecs(gpusim.A100Profile()) }
 // s's correction, which reaches solo predictions of s alone; the one action
 // it takes is dropping the admitter's memoized solo latencies of s.
 func NewStack(cfg Config) (*Stack, error) {
-	profile := gpusim.A100Profile()
 	eng := cfg.Engine
 	if eng == nil {
 		eng = sim.NewEngine()
 	}
+	dev := gpusim.New(eng, gpusim.A100Profile())
 	specs := cfg.Specs
 	if specs == nil {
 		specs = NewSpecs()
@@ -89,7 +90,7 @@ func NewStack(cfg Config) (*Stack, error) {
 	st := &Stack{}
 	model := cfg.Model
 	if model == nil {
-		model = predictor.Oracle{Profile: profile, Specs: specs}
+		model = predictor.ForDevice(dev, specs)
 	}
 	if cfg.PredictCache > 0 {
 		st.Memo = predictor.NewMemoized(model, cfg.PredictCache)
@@ -110,7 +111,7 @@ func NewStack(cfg Config) (*Stack, error) {
 		Models:    cfg.Models,
 		QoSFactor: cfg.QoSFactor,
 		Model:     model,
-		Device:    gpusim.New(eng, profile),
+		Device:    dev,
 		Specs:     specs,
 		OnResult:  cfg.OnResult,
 	})
@@ -118,7 +119,7 @@ func NewStack(cfg Config) (*Stack, error) {
 		return nil, err
 	}
 	st.RT = rt
-	st.Adm = admit.New(model, profile, rt.Services(), cfg.QueueCap, executor.SyncCostMS,
+	st.Adm = admit.New(model, dev.Profile(), rt.Services(), cfg.QueueCap, executor.SyncCostMS,
 		admit.NewDegrade(cfg.Degrade, len(cfg.Models)))
 	return st, nil
 }

@@ -28,10 +28,12 @@ type Oracle struct {
 	Specs   *dnn.Specs
 }
 
-// ForDevice returns an oracle matched to the device's profile and
-// (possibly partitioned) capacity.
-func ForDevice(dev *gpusim.Device) Oracle {
-	return Oracle{Profile: dev.Profile(), SMCap: dev.SMCapacity(), MemCap: dev.MemCapacity()}
+// ForDevice returns the oracle of the device: matched to its profile and
+// (possibly partitioned) capacity, reading specs, the host's kernel-spec
+// table (bound to the device's profile, or nil). It is the one place that
+// picks the model a device predicts with when its host is given none.
+func ForDevice(dev *gpusim.Device, specs *dnn.Specs) Oracle {
+	return Oracle{Profile: dev.Profile(), SMCap: dev.SMCapacity(), MemCap: dev.MemCapacity(), Specs: specs}
 }
 
 // Predict implements LatencyModel.

@@ -171,7 +171,7 @@ func TestStopCommandConservation(t *testing.T) {
 	b.StartAnchored(time.Now())
 
 	const workers = 16
-	var executed, acked atomic.Int64
+	var executed, acked, postsRun atomic.Int64
 	posted := make([][]*countMsg, workers)
 	refused := make([]*countMsg, workers)
 	var wg sync.WaitGroup
@@ -181,7 +181,7 @@ func TestStopCommandConservation(t *testing.T) {
 			defer wg.Done()
 			for {
 				if w%2 == 1 {
-					m := newCountMsg(nil)
+					m := newCountMsg(func() { postsRun.Add(1) })
 					if !b.Post(m) {
 						refused[w] = m
 						return
@@ -197,7 +197,13 @@ func TestStopCommandConservation(t *testing.T) {
 			}
 		}()
 	}
-	time.Sleep(5 * time.Millisecond)
+	// Retire once both kinds of work have gone through, or after a bound a
+	// loaded host cannot miss; the checks below report a retirement that
+	// came before either.
+	deadline := time.Now().Add(10 * time.Second)
+	for (acked.Load() == 0 || postsRun.Load() == 0) && time.Now().Before(deadline) {
+		time.Sleep(100 * time.Microsecond)
+	}
 	if _, err := b.Retire(); err != nil {
 		t.Fatalf("Retire under load: %v", err)
 	}

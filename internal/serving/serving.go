@@ -66,17 +66,14 @@ type RunConfig struct {
 	// Services overrides the default QoS derivation (2× max-input solo)
 	// when non-nil — e.g. the small-DNN experiment.
 	Services []*sched.Service
-	// Profile is the device model; zero value selects A100Profile. With
-	// Devices set, the devices' profile is used instead.
-	Profile gpusim.Profile
 	// Devices are the GPUs the run serves on, all on one engine, possibly
-	// MIG partitions of one device. Empty means one fresh device of Profile.
+	// MIG partitions of one device. Empty means one fresh A100.
 	Devices []*gpusim.Device
 	// Hosts lists, per device, the service indices it serves. Nil means
 	// every device serves every service.
 	Hosts [][]int
-	// Model is the latency model for Abacus; nil gives each device the exact
-	// oracle matched to its capacity (tests and quick runs) — pass a trained
+	// Model is the latency model for Abacus; nil gives each device its exact
+	// oracle (predictor.ForDevice; tests and quick runs) — pass a trained
 	// predictor for fidelity runs.
 	Model predictor.LatencyModel
 	// Sched carries scheduler knobs; zero value means sched.DefaultConfig.
@@ -176,11 +173,7 @@ func Run(cfg RunConfig) Result {
 	}
 	devices := cfg.Devices
 	if len(devices) == 0 {
-		profile := cfg.Profile
-		if profile.NumSMs == 0 {
-			profile = gpusim.A100Profile()
-		}
-		devices = []*gpusim.Device{gpusim.New(sim.NewEngine(), profile)}
+		devices = []*gpusim.Device{gpusim.New(sim.NewEngine(), gpusim.A100Profile())}
 	}
 	eng, profile := devices[0].Engine(), devices[0].Profile()
 	for _, dev := range devices {
@@ -228,9 +221,7 @@ func Run(cfg RunConfig) Result {
 		case PolicyAbacus:
 			model := cfg.Model
 			if model == nil {
-				oracle := predictor.ForDevice(dev)
-				oracle.Specs = specs
-				model = oracle
+				model = predictor.ForDevice(dev, specs)
 			}
 			schedulers[d] = sched.NewAbacus(eng, exec, model, schedCfg, sink)
 		case PolicyMPS:
